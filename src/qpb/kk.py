@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryContaminationError,
@@ -89,12 +90,9 @@ def _odd_offsets(n: int) -> np.ndarray:
 
 
 def _periodic_weights(n: int) -> np.ndarray:
-    """Odd-offset weights w_m = (2/n) cot(pi m / n); circular exact counterpart
-    of the spectral multiplier (pi-periodic, so aliased offsets share weights)."""
-    m = _odd_offsets(n)
-    w = np.zeros(n)
-    w[m] = (2.0 / n) / np.tan(math.pi * m / n)
-    return w
+    """Weights w_m = (2/n) cot(pi m / n) on the odd offsets m = 1, 3, ..., n-1;
+    circular exact counterpart of the spectral multiplier."""
+    return (2.0 / n) / np.tan(math.pi * _odd_offsets(n) / n)
 
 
 def pv_quadrature(samples: np.ndarray, grid: UniformGrid, z_index: int,
@@ -123,9 +121,7 @@ def pv_quadrature(samples: np.ndarray, grid: UniformGrid, z_index: int,
     if not 0 <= z_index < n:
         raise ConfigurationError(f"z_index {z_index} outside grid of {n} points")
     if kernel == "periodic":
-        m = _odd_offsets(n)
-        w = (2.0 / n) / np.tan(math.pi * m / n)
-        return float(np.sum(g[(z_index + m) % n] * w))
+        return float(np.sum(g[(z_index + _odd_offsets(n)) % n] * _periodic_weights(n)))
     if kernel == "line":
         m = np.concatenate([-_odd_offsets(n)[::-1], _odd_offsets(n)])
         k = z_index + m
@@ -134,25 +130,21 @@ def pv_quadrature(samples: np.ndarray, grid: UniformGrid, z_index: int,
     raise ConfigurationError(f"unknown kernel {kernel!r}")
 
 
-def pv_quadrature_all(samples: np.ndarray, grid: UniformGrid,
-                      block: int = 512) -> np.ndarray:
+def pv_quadrature_all(samples: np.ndarray, grid: UniformGrid) -> np.ndarray:
     """Periodic-kernel principal value at every grid point.
 
-    Same staggered sum as pv_quadrature(kernel="periodic"), batched as a
-    blockwise circulant product so the whole-grid oracle comparison stays an
-    independent O(n^2) summation rather than another FFT.
+    Same staggered sum as pv_quadrature(kernel="periodic"), batched as one
+    matrix-vector product over a zero-copy window of the wrapped samples
+    (row z holds g[(z + m) % n] for the odd offsets m), so the whole-grid
+    oracle comparison stays an independent O(n^2) summation rather than
+    another FFT.
     """
     g = np.asarray(samples, dtype=np.float64)
     n = grid.n_points
     if g.shape != (n,):
         raise ConfigurationError(f"sample shape {g.shape} does not match grid size {n}")
-    m = _odd_offsets(n)
-    w = (2.0 / n) / np.tan(math.pi * m / n)
-    out = np.empty(n)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n))
-        out[rows] = g[(rows[:, None] + m[None, :]) % n] @ w
-    return out
+    wrapped = sliding_window_view(np.concatenate([g, g[:-1]]), n)
+    return wrapped[:, 1::2] @ _periodic_weights(n)
 
 
 @dataclass(frozen=True)
@@ -257,8 +249,12 @@ def periodized_pole(grid: UniformGrid, a: float, half_plane: str = "lower") -> n
 
         sum_k 1/(u - i a + 2 L k) = (pi / 2 L) cot(pi (u - i a) / 2 L)
 
-    This closed form is an exact conjugate pair for the circular transform,
-    so its dispersion residual sits at rounding level on any grid.
+    The closed form is analytic in the strip |Im u| < a, so the sampled
+    dispersion residual is an aliasing error that decays like exp(-pi a / h)
+    in the spacing h (Trefethen & Weideman, "The exponentially convergent
+    trapezoidal rule", SIAM Review 56, 2014). It sits at rounding level only
+    once the grid resolves the pole: with L = 64, a = 0.5 leaves about 0.17
+    at n = 256 and 1.4e-5 at n = 1024, and rounding level at n = 4096.
     """
     if a <= 0:
         raise ConfigurationError("pole offset a must be positive")
@@ -268,19 +264,6 @@ def periodized_pole(grid: UniformGrid, a: float, half_plane: str = "lower") -> n
     period = 2.0 * grid.half_extent
     pole = 1j * a if half_plane == "lower" else -1j * a
     return (math.pi / period) / np.tan(math.pi * (u - pole) / period)
-
-
-def unwrap_window(phase: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sequentially unwrap phase over a boolean window (period 2 pi, jump
-    threshold pi). Returns the unwrapped values at window points and the
-    largest consecutive-sample jump remaining after the unwrap."""
-    idx = np.flatnonzero(window)
-    if idx.size == 0:
-        return np.empty(0), 0.0
-    u = np.unwrap(np.asarray(phase, dtype=np.float64)[idx])
-    adjacent = np.diff(idx) == 1
-    jumps = np.abs(np.diff(u))[adjacent]
-    return u, float(np.max(jumps)) if jumps.size else 0.0
 
 
 def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -84,6 +85,22 @@ def conjugate_gaussian_pair(grid_p: UniformGrid, sigma: float = 1.0, center: flo
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _band_basis(grid: UniformGrid, n_modes: int,
+                envelope_divisor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only plane waves exp(i pi k x / L), k = -n_modes..n_modes, and the
+    Gaussian envelope of width L/envelope_divisor on a 1D grid."""
+    x = grid.axis_points()
+    L = grid.half_extent
+    waves = np.empty((2 * n_modes + 1, grid.n_points), dtype=np.complex128)
+    for j in range(2 * n_modes + 1):
+        waves[j] = np.exp(1j * math.pi * (j - n_modes) * x / L)
+    envelope = np.exp(-(x**2) / (2.0 * (L / envelope_divisor) ** 2))
+    waves.flags.writeable = False
+    envelope.flags.writeable = False
+    return waves, envelope
+
+
 def random_band_limited(grid: UniformGrid, rng: np.random.Generator, n_modes: int = 6,
                         envelope_divisor: float = 8.0,
                         representation: str = "position") -> WaveFunction:
@@ -91,15 +108,15 @@ def random_band_limited(grid: UniformGrid, rng: np.random.Generator, n_modes: in
 
     The envelope width L/envelope_divisor keeps boundary-band mass far below
     the unitarity tolerances, so these states are valid inputs for round-trip
-    and norm-preservation properties.
+    and norm-preservation properties. The basis is computed once per
+    (grid, n_modes, envelope_divisor); only the coefficients are drawn.
     """
     if grid.dim != 1:
         raise ConfigurationError("random_band_limited builds 1D states")
-    x = grid.axis_points()
-    L = grid.half_extent
+    waves, envelope = _band_basis(grid, n_modes, envelope_divisor)
     c = rng.normal(size=2 * n_modes + 1) + 1j * rng.normal(size=2 * n_modes + 1)
     modes = np.zeros(grid.n_points, dtype=np.complex128)
     for j in range(2 * n_modes + 1):
-        modes += c[j] * np.exp(1j * math.pi * (j - n_modes) * x / L)
-    v = np.exp(-(x**2) / (2.0 * (L / envelope_divisor) ** 2)) * modes
+        modes += c[j] * waves[j]
+    v = envelope * modes
     return normalize(WaveFunction(grid=grid, representation=representation, values=v))

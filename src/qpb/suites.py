@@ -8,6 +8,7 @@ selected suite. 3D checks keep fixed sizes for runtime predictability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -146,8 +147,10 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ConfigurationError(
                 f"unknown suite {self.suite!r}; choose one of {', '.join(SUITE_NAMES)}")
-        if self.hbar <= 0 or self.omega <= 0:
-            raise ConfigurationError("hbar and omega must be positive")
+        for name in ("hbar", "omega", "half_extent"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.n_trunc < 8:
             raise ConfigurationError("n_trunc below 8 leaves no protected block to check")
         unknown = set(self.tolerances) - KNOWN_CHECK_IDS
@@ -155,8 +158,9 @@ class SuiteConfig:
             raise ConfigurationError(
                 f"tolerance overrides for unknown checks: {', '.join(sorted(unknown))}")
         for key, value in self.tolerances.items():
-            if value < 0:
-                raise ConfigurationError(f"tolerance for {key} must be nonnegative")
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"tolerance for {key} must be nonnegative and finite, got {value}")
 
     def grid_1d(self, section: str) -> tuple[int, float]:
         n_default, half_default = _GRID_DEFAULTS.get(section, _GRID_FALLBACK)
@@ -170,9 +174,10 @@ class SuiteConfig:
 
 def _fold(check_id: str, reports: list[CheckReport], tolerance: float,
           extra: dict | None = None) -> CheckReport:
-    """Aggregate per-case reports for one check: worst residual wins, and a
-    case that failed semantically despite a small residual keeps the fold red."""
-    residual = max(r.residual for r in reports)
+    """Aggregate per-case reports for one check: worst residual wins (a NaN in
+    any case makes it NaN, so the fold fails), and a case that failed
+    semantically despite a small residual keeps the fold red."""
+    residual = float(np.max([r.residual for r in reports]))
     forced_fail = any((not r.passed) and r.residual <= r.tolerance for r in reports)
     context = {"n_cases": len(reports)}
     if extra:

@@ -20,7 +20,6 @@ from .matrices import (
     letter_matrices,
     lowering_matrix,
     matrix_realize,
-    protected_block,
     protected_slice,
 )
 from .poly import (
@@ -52,7 +51,6 @@ __all__ = [
     "parse_expression",
     "poly_of",
     "print_expression",
-    "protected_block",
     "protected_slice",
     "random_operator_poly",
     "taylor_operator",

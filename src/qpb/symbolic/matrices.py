@@ -69,8 +69,3 @@ def protected_slice(n_trunc: int, degree: int) -> slice:
         raise ConfigurationError(
             f"degree {degree} leaves no protected block at truncation {n_trunc}")
     return slice(0, keep)
-
-
-def protected_block(matrix: np.ndarray, degree: int) -> np.ndarray:
-    s = protected_slice(matrix.shape[0], degree)
-    return matrix[s, s]

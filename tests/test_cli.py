@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qpb.cli import main
+
 PKG = [sys.executable, "-m", "qpb"]
 
 
@@ -81,3 +85,15 @@ def test_seed_changes_random_draws_but_not_verdicts():
     rb = json.loads(b.stdout)
     assert [r["check_id"] for r in ra] == [r["check_id"] for r in rb]
     assert all(r["pass"] for r in ra + rb)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("suite,flag", [
+    ("weyl", "--hbar={}"),
+    ("ladder", "--omega={}"),
+    ("fourier", "--half-extent={}"),
+    ("ladder", "--tolerance=ladder_algebra={}"),
+])
+def test_non_finite_config_is_config_error(suite, flag, value, capsys):
+    assert main(["verify", suite, flag.format(value)]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -95,6 +95,22 @@ def test_pv_periodic_kernel_matches_spectral_everywhere():
         assert pv_quadrature(sig, grid, j) == pytest.approx(h[j], abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_pv_quadrature_all_matches_per_point_sum(n):
+    # the batched oracle must be the per-point sum at every index, to within
+    # the float64 summation bound over the n/2 products g[z + m] * w_m
+    grid = _grid(n, 8.0)
+    sig = np.random.default_rng(n).normal(size=n)
+    m = np.arange(1, n, 2)
+    w = (2.0 / n) / np.tan(np.pi * m / n)
+    got = pv_quadrature_all(sig, grid)
+    eps = np.finfo(np.float64).eps
+    for z in range(n):
+        terms = np.abs(w) * np.abs(sig[(z + m) % n])
+        bound = 8 * n * eps * float(np.sum(terms))
+        assert abs(got[z] - pv_quadrature(sig, grid, z, kernel="periodic")) <= bound
+
+
 def test_pv_line_kernel_gap_shrinks_under_refinement():
     # truncated-line quadrature approaches the periodic answer as the window grows
     gaps = []

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qpb.errors import ConfigurationError
-from qpb.grids import inner_product, make_uniform_grid
+from qpb.grids import WaveFunction, inner_product, make_uniform_grid, normalize
 from qpb.states import (
+    _band_basis,
     conjugate_gaussian_pair,
     gaussian,
     gaussian_3d,
@@ -64,6 +67,31 @@ def test_random_band_limited_reproducible_and_contained():
     assert a.norm() == pytest.approx(1.0, abs=1e-12)
     edge = np.abs(a.values[:4]).max() / np.abs(a.values).max()
     assert edge < 1e-6
+
+
+def _inline_band_limited(grid, rng, n_modes=6, envelope_divisor=8.0):
+    # the per-call construction the memoized basis replaced, kept as reference
+    x = grid.axis_points()
+    L = grid.half_extent
+    c = rng.normal(size=2 * n_modes + 1) + 1j * rng.normal(size=2 * n_modes + 1)
+    modes = np.zeros(grid.n_points, dtype=np.complex128)
+    for j in range(2 * n_modes + 1):
+        modes += c[j] * np.exp(1j * math.pi * (j - n_modes) * x / L)
+    v = np.exp(-(x**2) / (2.0 * (L / envelope_divisor) ** 2)) * modes
+    return normalize(WaveFunction(grid=grid, representation="position", values=v))
+
+
+def test_random_band_limited_bit_equal_to_inline_construction():
+    grid_a = make_uniform_grid(1, 256, 8.0)
+    grid_b = make_uniform_grid(1, 128, 6.0)
+    for seed, grid in enumerate((grid_a, grid_b, grid_a)):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = random_band_limited(grid, fast)
+            assert got.grid == grid
+            assert np.array_equal(got.values, _inline_band_limited(grid, slow).values)
+    waves, envelope = _band_basis(grid_a, 6, 8.0)
+    assert not waves.flags.writeable and not envelope.flags.writeable
 
 
 def test_state_validation():

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from qpb.errors import ConfigurationError
-from qpb.suites import CITATIONS, KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, run_suite
+from qpb.report import make_report
+from qpb.suites import CITATIONS, KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
 
 EXPECTED_PER_SUITE = {
     "fourier": 4,
@@ -50,6 +53,16 @@ def test_config_validation():
         SuiteConfig(tolerances={"not_a_check": 1.0})
     with pytest.raises(ConfigurationError):
         SuiteConfig(tolerances={"kk_residual": -1.0})
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_fold_propagates_nan_wherever_it_sits(position):
+    cases = [make_report("ladder_algebra", "ref", r, 1e-12) for r in (1e-15, 2e-15)]
+    bad = make_report("ladder_algebra", "ref", math.nan, 1e-12)
+    cases = [bad] + cases if position == "first" else cases + [bad]
+    folded = _fold("ladder_algebra", cases, 1e-12)
+    assert math.isnan(folded.residual)
+    assert not folded.passed
 
 
 def test_grid_defaults_differ_per_section():
