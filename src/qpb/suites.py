@@ -128,6 +128,10 @@ _GRID_3D = (64, 8.0)
 N_TRANSFORM_STATES = 100
 N_BOUND_STATES = 500
 N_ORACLE_DRAWS = 200
+ORACLE_TERM_DEGREE = 4
+# weyl_matrix_oracle realizes products of two draws, and a degree-d product
+# is only checked on the nonempty protected block of n_trunc - d states
+WEYL_MIN_N_TRUNC = 2 * ORACLE_TERM_DEGREE + 1
 WRONG_PLANE_FLOOR = 1e-2
 FD_RATIO_FLOOR = 3.5
 
@@ -153,6 +157,11 @@ class SuiteConfig:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.n_trunc < 8:
             raise ConfigurationError("n_trunc below 8 leaves no protected block to check")
+        if self.suite in ("weyl", "all") and self.n_trunc < WEYL_MIN_N_TRUNC:
+            raise ConfigurationError(f"weyl needs n_trunc >= {WEYL_MIN_N_TRUNC} for its "
+                                     f"products of two degree-{ORACLE_TERM_DEGREE} draws")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         unknown = set(self.tolerances) - KNOWN_CHECK_IDS
         if unknown:
             raise ConfigurationError(
@@ -172,12 +181,18 @@ class SuiteConfig:
         return float(self.tolerances.get(check_id, default))
 
 
+def _worst(values) -> float:
+    """Largest value, NaN if any value is NaN (Python's max drops a NaN that
+    is not first); bound checks write max(0, floor - min(xs)) through it."""
+    return float(np.max(values))
+
+
 def _fold(check_id: str, reports: list[CheckReport], tolerance: float,
           extra: dict | None = None) -> CheckReport:
     """Aggregate per-case reports for one check: worst residual wins (a NaN in
     any case makes it NaN, so the fold fails), and a case that failed
     semantically despite a small residual keeps the fold red."""
-    residual = float(np.max([r.residual for r in reports]))
+    residual = _worst([r.residual for r in reports])
     forced_fail = any((not r.passed) and r.residual <= r.tolerance for r in reports)
     context = {"n_cases": len(reports)}
     if extra:
@@ -208,7 +223,7 @@ def _fourier_checks(cfg: SuiteConfig) -> list[CheckReport]:
         round_trip_defects.append(float(np.max(np.abs(back.values - psi.values))))
         parseval_reports.append(check_parseval(psi))
     r_round = make_report(
-        "fourier_round_trip", CITE_ROUND_TRIP, max(round_trip_defects),
+        "fourier_round_trip", CITE_ROUND_TRIP, _worst(round_trip_defects),
         cfg.tol("fourier_round_trip", 1e-12),
         context={"n_states": N_TRANSFORM_STATES, "n_points": n, "half_extent": half})
     r_parseval = _fold("fourier_parseval", parseval_reports,
@@ -269,7 +284,8 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     ratios = [resids[0] / resids[1], resids[1] / resids[2]]
     r_fd = make_report(
         "poisson_fd_convergence", fd_reports[0].paper_ref,
-        max(0.0, FD_RATIO_FLOOR - min(ratios)), cfg.tol("poisson_fd_convergence", 0.0),
+        _worst([0.0] + [FD_RATIO_FLOOR - r for r in ratios]),
+        cfg.tol("poisson_fd_convergence", 0.0),
         context={"grid_sizes": [n, 2 * n, 4 * n], "residuals": resids,
                  "ratios": ratios, "required_ratio": FD_RATIO_FLOOR})
 
@@ -290,7 +306,7 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     interior = np.abs(psi3.values) > 1e-6 * peak
     pointwise = float(np.max(np.abs(cross.values)[interior])) / peak
     r_tensor = make_report(
-        "tensor_kronecker", CITE_KRONECKER, max(matrix_defect, pointwise),
+        "tensor_kronecker", CITE_KRONECKER, _worst([matrix_defect, pointwise]),
         cfg.tol("tensor_kronecker", 1e-6),
         context={"n_points": n3, "half_extent": half3,
                  "matrix_defect": matrix_defect,
@@ -309,7 +325,7 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     gaps = [float(np.max(np.abs(hilbert_spectral(s, grid) - pv_quadrature_all(s, grid))))
             for s in signals]
     r_oracle = make_report(
-        "kk_oracle_agreement", CITE_PV, max(gaps), cfg.tol("kk_oracle_agreement", 1e-5),
+        "kk_oracle_agreement", CITE_PV, _worst(gaps), cfg.tol("kk_oracle_agreement", 1e-5),
         context={"n_points": n, "half_extent": half,
                  "signals": ["pole a=0.5", "pole a=1", "pole a=2", "zero-mean packet"],
                  "gaps": gaps})
@@ -321,9 +337,9 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
         h = hilbert_spectral(re, gi)
         center = gi.n_points // 2
         probes = [center, center - n // 16, center + n // 16]
-        line_gaps.append(max(
-            abs(pv_quadrature(re, gi, j, kernel="line") - h[j]) for j in probes))
-    growth = max(0.0, line_gaps[1] - line_gaps[0], line_gaps[2] - line_gaps[1])
+        line_gaps.append(_worst(
+            [abs(pv_quadrature(re, gi, j, kernel="line") - h[j]) for j in probes]))
+    growth = _worst([0.0, line_gaps[1] - line_gaps[0], line_gaps[2] - line_gaps[1]])
     r_refine = make_report(
         "kk_refinement_monotone", CITE_PV, growth, cfg.tol("kk_refinement_monotone", 0.0),
         context={"scales": [1, 2, 4], "line_kernel_gaps": line_gaps})
@@ -340,7 +356,7 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     wrong_resids = [r.residual for r in wrong]
     r_wrong = make_report(
         "kk_wrong_half_plane", CITE_KK,
-        max(0.0, WRONG_PLANE_FLOOR - min(wrong_resids)),
+        _worst([0.0] + [WRONG_PLANE_FLOOR - r for r in wrong_resids]),
         cfg.tol("kk_wrong_half_plane", 0.0),
         context={"wrong_declaration_residuals": wrong_resids,
                  "required_floor": WRONG_PLANE_FLOOR})
@@ -392,10 +408,10 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
                        context={"max_degree": 6})
 
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
+    residuals = []
     for _ in range(N_ORACLE_DRAWS):
-        a = random_operator_poly(rng, max_degree=4, n_terms=3)
-        b = random_operator_poly(rng, max_degree=4, n_terms=3)
+        a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
+        b = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
         deg = a.total_degree() + b.total_degree()
         m_a = matrix_realize(a, cfg.n_trunc, cfg.hbar)
         m_b = matrix_realize(b, cfg.n_trunc, cfg.hbar)
@@ -407,16 +423,15 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
         sa = protected_slice(cfg.n_trunc, max(a.total_degree(), 1))
         # commutator entries cancel to ~eps of the A@B intermediates, so the
         # defensible scale is the product magnitude, not the block magnitude
-        worst = max(
-            worst,
+        residuals += [
             float(np.max(np.abs(symbolic - direct))) / (1.0 + float(np.max(np.abs(prod)))),
             float(np.max(np.abs((nf - m_a)[sa, sa]))) / (1.0 + float(np.max(np.abs(m_a)))),
-        )
+        ]
     r_oracle = make_report(
-        "weyl_matrix_oracle", CITE_MATRIX_ORACLE, worst,
+        "weyl_matrix_oracle", CITE_MATRIX_ORACLE, _worst(residuals),
         cfg.tol("weyl_matrix_oracle", 1e-10),
         context={"n_draws": N_ORACLE_DRAWS, "n_trunc": cfg.n_trunc,
-                 "max_term_degree": 4,
+                 "max_term_degree": ORACLE_TERM_DEGREE,
                  "residual_scaling": "relative to intermediate product magnitude"})
 
     canonical = [
@@ -459,18 +474,17 @@ def _uncertainty_checks(cfg: SuiteConfig) -> list[CheckReport]:
                     extra={"sigmas": sigmas, "target_product": target})
 
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    min_product = float("inf")
+    residuals, products = [], []
     for _ in range(N_BOUND_STATES):
         psi = random_band_limited(grid, rng)
         rep = uncertainty_check(psi, x_op, p_op,
                                 check_id="uncertainty_random_bound", paper_ref=CITE_BOUND)
-        worst = max(worst, rep.residual)
-        min_product = min(min_product, rep.context["product"])
+        residuals.append(rep.residual)
+        products.append(rep.context["product"])
     r_random = make_report(
-        "uncertainty_random_bound", CITE_BOUND, worst,
+        "uncertainty_random_bound", CITE_BOUND, _worst(residuals),
         cfg.tol("uncertainty_random_bound", 1e-8),
-        context={"n_states": N_BOUND_STATES, "min_product": min_product,
+        context={"n_states": N_BOUND_STATES, "min_product": float(np.min(products)),
                  "bound": target})
 
     hermites = [1, 2, 3]

@@ -29,7 +29,6 @@ from .poly import (
     random_operator_poly,
     taylor_operator,
     weyl_symmetrize,
-    weyl_symmetrize_recursive,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "taylor_operator",
     "to_poly",
     "weyl_symmetrize",
-    "weyl_symmetrize_recursive",
 ]

@@ -55,7 +55,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
 
 
 class HbarPoly:
@@ -136,13 +135,6 @@ class HbarPoly:
         res._coeffs = out
         return res
 
-    def scale(self, c: GaussianRational) -> "HbarPoly":
-        if c.is_zero():
-            return HbarPoly()
-        res = HbarPoly.__new__(HbarPoly)
-        res._coeffs = {deg: v * c for deg, v in self._coeffs.items()}
-        return res
-
     def conjugate(self) -> "HbarPoly":
         res = HbarPoly.__new__(HbarPoly)
         res._coeffs = {deg: c.conjugate() for deg, c in self._coeffs.items()}
@@ -177,6 +169,4 @@ class HbarPoly:
     __repr__ = __str__
 
 
-HP_ZERO = HbarPoly()
 HP_ONE = HbarPoly.term(GR_ONE)
-HP_I_HBAR = HbarPoly.term(GR_I, 1)

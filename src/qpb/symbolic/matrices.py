@@ -13,6 +13,8 @@ product of words of total degree d is exact on the upper-left
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -43,22 +45,50 @@ def letter_matrices(n_trunc: int, hbar_value: float, omega: float = 1.0) -> dict
     }
 
 
+@lru_cache(maxsize=8)
+def _letter_bands(n_trunc: int, hbar_value: float,
+                  omega: float) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each letter's superdiagonal L[j-1, j] and subdiagonal L[j+1, j], taken
+    from letter_matrices and frozen read-only."""
+    bands = {}
+    for name, m in letter_matrices(n_trunc, hbar_value, omega).items():
+        up, lo = np.diagonal(m, 1).copy(), np.diagonal(m, -1).copy()
+        up.flags.writeable = lo.flags.writeable = False
+        bands[name] = (up, lo)
+    return bands
+
+
 def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
                    omega: float = 1.0) -> np.ndarray:
     """Sum of word products with coefficients evaluated at hbar_value.
 
+    A letter has only its first off-diagonals, so a word of length d touches
+    diagonals -d..d. Words are multiplied out in band storage band[k + d, j]
+    = M[j - d, j] (k the total degree), each letter as two shifted, scaled
+    slice updates; the weighted sum is scattered into the dense matrix once.
+
     Trustworthy only on protected_slice(n_trunc, p.total_degree()); rows and
     columns beyond it carry truncation error.
     """
-    letters = letter_matrices(n_trunc, hbar_value, omega)
-    eye = np.eye(n_trunc, dtype=np.complex128)
-    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    letters = _letter_bands(n_trunc, hbar_value, omega)
+    k = p.total_degree()
+    total = np.zeros((2 * k + 1, n_trunc), dtype=np.complex128)
     for word, coeff in p.terms():
-        m = eye
+        m = np.zeros_like(total)
+        m[k] = 1.0
         for letter in word:
-            m = m @ letters[letter]
+            up, lo = letters[letter]
+            nxt = np.zeros_like(m)
+            nxt[1:, 1:] = m[:-1, :-1] * up
+            nxt[:-1, :-1] += m[1:, 1:] * lo
+            m = nxt
         total += coeff.evaluate(hbar_value) * m
-    return total
+    cols = np.arange(n_trunc)
+    rows = cols - np.arange(-k, k + 1)[:, None]
+    inside = (rows >= 0) & (rows < n_trunc)
+    dense = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    dense[rows[inside], np.broadcast_to(cols, rows.shape)[inside]] = total[inside]
+    return dense
 
 
 def protected_slice(n_trunc: int, degree: int) -> slice:

@@ -97,3 +97,15 @@ def test_seed_changes_random_draws_but_not_verdicts():
 def test_non_finite_config_is_config_error(suite, flag, value, capsys):
     assert main(["verify", suite, flag.format(value)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["fourier", "uncertainty", "weyl"])
+def test_negative_seed_is_config_error(suite, capsys):
+    assert main(["verify", suite, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_weyl_n_trunc_floor_is_config_error(capsys):
+    assert main(["verify", "weyl", "--n-trunc", "8"]) == 2
+    assert "n_trunc" in capsys.readouterr().err
+    assert main(["verify", "weyl", "--n-trunc", "9", "--format", "json"]) == 0

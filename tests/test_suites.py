@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from qpb import suites
 from qpb.errors import ConfigurationError
 from qpb.report import make_report
 from qpb.suites import CITATIONS, KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
@@ -77,3 +80,46 @@ def test_tolerance_override_applies():
     reports = run_suite(SuiteConfig(suite="poisson", tolerances={"poisson_residual": 1e-15}))
     failed = {r.check_id for r in reports if not r.passed}
     assert "poisson_residual" in failed
+
+
+def _nan_report(rep):
+    return replace(rep, residual=math.nan)
+
+
+# (check, suite, suite-level function, which call to spoil, how); each spoiled
+# call sits where Python's max/min would have dropped the NaN
+NAN_CASES = [
+    ("weyl_matrix_oracle", "weyl", "matrix_realize", 7, lambda m: m * math.nan),
+    ("uncertainty_random_bound", "uncertainty", "uncertainty_check", 2, _nan_report),
+    ("poisson_fd_convergence", "poisson", "poisson_residual", 8, _nan_report),
+    ("kk_wrong_half_plane", "kk", "kk_residual", 5, _nan_report),
+    ("kk_refinement_monotone", "kk", "pv_quadrature", 5, lambda v: v * math.nan),
+    ("tensor_kronecker", "poisson", "commutator_apply", 1,
+     lambda psi: SimpleNamespace(values=psi.values * math.nan)),
+]
+
+
+@pytest.mark.parametrize("check_id,suite,name,index,spoil", NAN_CASES,
+                         ids=[case[0] for case in NAN_CASES])
+def test_nan_inside_a_check_fails_it(monkeypatch, check_id, suite, name, index, spoil):
+    original = getattr(suites, name)
+    calls = []
+
+    def spoiled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return spoil(out) if len(calls) == index else out
+
+    monkeypatch.setattr(suites, name, spoiled)
+    report = {r.check_id: r for r in run_suite(SuiteConfig(suite=suite))}[check_id]
+    assert len(calls) >= index
+    assert math.isnan(report.residual)
+    assert not report.passed
+
+
+def test_weyl_n_trunc_floor_follows_oracle_degree():
+    for suite in ("weyl", "all"):
+        with pytest.raises(ConfigurationError):
+            SuiteConfig(suite=suite, n_trunc=suites.WEYL_MIN_N_TRUNC - 1)
+        SuiteConfig(suite=suite, n_trunc=suites.WEYL_MIN_N_TRUNC)
+    SuiteConfig(suite="ladder", n_trunc=8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qpb.errors import ConfigurationError
+from qpb.symbolic.matrices import _letter_bands
 from qpb.symbolic import (
     OperatorPoly,
     commutator_poly,
@@ -104,3 +105,47 @@ def test_protected_slice_validation():
         protected_slice(8, 8)
     with pytest.raises(ConfigurationError):
         protected_slice(8, 20)
+
+
+def dense_realize(p, n_trunc, hbar_value, omega):
+    """Word products as chains of dense matmuls from the identity; also returns
+    the entrywise sum of |coeff| |L1|...|Ld| that bounds their rounding."""
+    letters = letter_matrices(n_trunc, hbar_value, omega)
+    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    magnitude = np.zeros((n_trunc, n_trunc))
+    for word, coeff in p.terms():
+        m = np.eye(n_trunc, dtype=np.complex128)
+        mag = np.eye(n_trunc)
+        for letter in word:
+            m = m @ letters[letter]
+            mag = mag @ np.abs(letters[letter])
+        c = coeff.evaluate(hbar_value)
+        total += c * m
+        magnitude += abs(c) * mag
+    return total, magnitude
+
+
+@pytest.mark.parametrize("n_trunc", [9, 64, 96])
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_matrix_realize_matches_dense_word_products(n_trunc, register):
+    rng = np.random.default_rng(41)
+    eps = np.finfo(np.float64).eps
+    for _ in range(25):
+        p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
+        ref, magnitude = dense_realize(p, n_trunc, 0.7, 1.5)
+        got = matrix_realize(p, n_trunc, 0.7, omega=1.5)
+        bound = 8 * max(p.total_degree(), 1) * eps * (1.0 + float(np.max(magnitude)))
+        assert np.max(np.abs(got - ref)) <= bound
+
+
+def test_letter_bands_follow_hbar_and_are_read_only():
+    for hbar_value in (0.5, 2.0, 0.5):
+        bands = _letter_bands(16, hbar_value, 1.0)
+        for name, m in letter_matrices(16, hbar_value, 1.0).items():
+            up, lo = bands[name]
+            assert np.array_equal(up, np.diagonal(m, 1))
+            assert np.array_equal(lo, np.diagonal(m, -1))
+            for arr in (up, lo):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -14,12 +15,52 @@ from qpb.symbolic import (
     random_operator_poly,
     taylor_operator,
     weyl_symmetrize,
-    weyl_symmetrize_recursive,
 )
 
 X = OperatorPoly.letter("X")
 P = OperatorPoly.letter("P")
 I_HBAR = OperatorPoly.scalar(HbarPoly.term(GaussianRational.of(0, 1), 1))
+ORDER = {"X": 0, "P": 1, "H": 0, "T": 1}
+
+
+def weyl_symmetrize_recursive(word: tuple[str, ...]) -> OperatorPoly:
+    """Positional recursion S{w} = (1/n) sum_k w_k S{w minus position k}.
+
+    Exponential in the word length; an independent cross-check of
+    weyl_symmetrize on short words.
+    """
+    word = tuple(word)
+    if len(word) > 8:
+        raise ResourceBoundError("recursive symmetrization is limited to degree 8")
+    if not word:
+        return OperatorPoly.one()
+    total = OperatorPoly.zero()
+    for k in range(len(word)):
+        rest = word[:k] + word[k + 1:]
+        total = total + OperatorPoly.letter(word[k]) * weyl_symmetrize_recursive(rest)
+    return total.scale(Fraction(1, len(word)))
+
+
+def one_swap_normal_form(p: OperatorPoly) -> dict:
+    """Normal ordering by repeated single swaps BA -> AB - i hbar at the first
+    out-of-order pair; exponential in the word length, used as an oracle."""
+    minus_i_hbar = HbarPoly.term(GaussianRational.of(0, -1), 1)
+    out: dict = {}
+    stack = list(p.terms())
+    while stack:
+        word, coeff = stack.pop()
+        at = next((i for i in range(len(word) - 1) if ORDER[word[i]] > ORDER[word[i + 1]]), -1)
+        if at < 0:
+            s = out.get(word)
+            s = coeff if s is None else s + coeff
+            if s.is_zero():
+                out.pop(word)
+            else:
+                out[word] = s
+            continue
+        stack.append((word[:at] + (word[at + 1], word[at]) + word[at + 2:], coeff))
+        stack.append((word[:at] + word[at + 2:], coeff * minus_i_hbar))
+    return out
 
 
 def test_gaussian_rational_field_operations():
@@ -67,6 +108,29 @@ def test_normal_form_degree_three_identity():
     lhs = (P * X * X).normal_form()
     rhs = X * X * P - I_HBAR.scale(2) * X
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_normal_form_equals_one_swap_rewrite(register):
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
+        assert dict(p.normal_form().terms()) == one_swap_normal_form(p)
+
+
+def test_normal_form_matches_closed_form_reordering():
+    # P^m X^n = sum_k (-i hbar)^k k! C(m, k) C(n, k) X^(n-k) P^(m-k)
+    minus_i = GaussianRational.of(0, -1)
+    for m in range(8):
+        for n in range(8):
+            expected = {}
+            phase = GaussianRational.of(1)
+            for k in range(min(m, n) + 1):
+                weight = GaussianRational.of(factorial(k) * comb(m, k) * comb(n, k))
+                expected[("X",) * (n - k) + ("P",) * (m - k)] = HbarPoly.term(phase * weight, k)
+                phase = phase * minus_i
+            nf = OperatorPoly.monomial(("P",) * m + ("X",) * n).normal_form()
+            assert dict(nf.terms()) == expected, (m, n)
 
 
 def test_weyl_symmetrize_small_words():
