@@ -34,7 +34,7 @@ class PhaseUndefinedError(ToolkitError):
 
 
 class ResourceBoundError(ToolkitError):
-    """A symbolic operation would exceed its configured combinatorial bound."""
+    """An operation or configuration would exceed a configured size, memory or combinatorial bound."""
 
 
 class ProtectedRangeError(ToolkitError):

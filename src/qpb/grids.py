@@ -3,6 +3,10 @@
 Everything numerical in this package lives on a centered periodic grid
 x_j = -L + j*spacing with spacing = 2L/n and the point +L excluded. Power
 of two sizes keep the conjugate transform pair exactly unitary.
+
+The `*_block` functions act on the trailing grid.dim axes of an array, so a
+(k, *grid.shape) block of k states and a single state of grid.shape go
+through the same code; reductions return one value per state.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class WaveFunction:
         )
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing**self.grid.dim)
+        return float(norm_block(self.values, self.grid))
 
 
 def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
@@ -134,6 +138,32 @@ def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
         raise IncompatibleOperandsError("wavefunctions live on incompatible grids")
 
 
+def _state_sum(values: np.ndarray, grid: UniformGrid):
+    """Sum over the trailing grid axes, flattened first so that every state
+    of a block is summed in the same order as a lone state."""
+    return np.sum(values.reshape(values.shape[:values.ndim - grid.dim] + (-1,)), axis=-1)
+
+
+def inner_product_block(a_values: np.ndarray, b_values: np.ndarray, grid: UniformGrid):
+    """Riemann inner products <a|b> of the states in two blocks on `grid`."""
+    return _state_sum(np.conj(a_values) * b_values, grid) * grid.spacing**grid.dim
+
+
+def norm_block(values: np.ndarray, grid: UniformGrid):
+    """Norm of every state in a block on `grid`."""
+    return np.sqrt(_state_sum(np.abs(values) ** 2, grid) * grid.spacing**grid.dim)
+
+
+def normalize_block(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """Scale every state of a block to unit norm in place and return the block.
+    Raises DegenerateStateError if any state has zero or non-finite norm."""
+    n = norm_block(values, grid)
+    if not np.all((n > 0.0) & np.isfinite(n)):
+        raise DegenerateStateError("cannot normalize a state with zero or non-finite norm")
+    values /= np.reshape(n, np.shape(n) + (1,) * grid.dim)
+    return values
+
+
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     """Riemann inner product <a|b> = sum conj(a_j) b_j * spacing^dim.
 
@@ -141,15 +171,12 @@ def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     so it is spectrally accurate for smooth decaying states.
     """
     _require_same_grid(a, b)
-    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.spacing**a.grid.dim)
+    return complex(inner_product_block(a.values, b.values, a.grid))
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
     """Scale psi to unit norm. Raises DegenerateStateError on a zero state."""
-    n = psi.norm()
-    if not n > 0.0 or not math.isfinite(n):
-        raise DegenerateStateError("cannot normalize a state with zero or non-finite norm")
-    return psi.with_values(psi.values / n)
+    return psi.with_values(normalize_block(np.array(psi.values), psi.grid))
 
 
 def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
@@ -169,12 +196,12 @@ def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
     return float(np.sum(np.abs(psi.values[full]) ** 2)) / total
 
 
-def boundary_band_fraction(values: np.ndarray, band_divisor: int = 8) -> float:
-    """Fraction of l2 mass of a 1D sample array in the outer 1/band_divisor of each side."""
-    v = np.asarray(values)
-    total = float(np.sum(np.abs(v) ** 2))
-    if total == 0.0:
-        return 0.0
-    band = max(1, v.shape[0] // band_divisor)
-    outer = float(np.sum(np.abs(v[:band]) ** 2) + np.sum(np.abs(v[-band:]) ** 2))
-    return outer / total
+def boundary_band_fraction(values: np.ndarray, band_divisor: int = 8):
+    """Fraction of l2 mass in the outer 1/band_divisor of each side of every
+    1D sample row (the last axis); 0 for an all-zero row."""
+    mass = np.abs(np.asarray(values)) ** 2
+    total = np.sum(mass, axis=-1)
+    band = max(1, mass.shape[-1] // band_divisor)
+    outer = np.sum(mass[..., :band], axis=-1) + np.sum(mass[..., -band:], axis=-1)
+    # a zero total has a zero outer part, so dividing it by 1 gives 0
+    return outer / np.where(total == 0.0, 1.0, total)

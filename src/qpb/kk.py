@@ -32,7 +32,7 @@ from .errors import (
     PhaseUndefinedError,
 )
 from .grids import UniformGrid
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, worst
 
 CITE_PV = 'Eq 14, "denotes Cauchy principal values"'
 CITE_KK = 'Eq 14 both lines, "Kramers-Kronig relations ... require that"'
@@ -209,10 +209,10 @@ def kk_residual(f: AnalyticSignal, dc_adjust: bool = True) -> CheckReport:
     interior = slice(n // 4, 3 * n // 4)
     off_im = float(np.mean(r_im[interior])) if dc_adjust else 0.0
     off_re = float(np.mean(r_re[interior])) if dc_adjust else 0.0
-    residual = max(
+    residual = worst([
         float(np.max(np.abs(r_im[interior] - off_im))),
         float(np.max(np.abs(r_re[interior] - off_re))),
-    )
+    ])
     return make_report(
         "kk_residual", CITE_KK, residual, 1e-5,
         context={

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ProtectedRangeError,
 )
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, worst
 
 CITE_ALGEBRA = 'Eq B7A–C, "obey the algebra"; Eq B6, "it would be easy to verify the identity"'
 CITE_HT = 'Eq 29, "comparable commutator between energy H and time T"'
@@ -72,23 +72,37 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def _commutator_defect(defect: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|defect| of an identity for AB - BA, entry by entry over 1 + |A||B| + |B||A|.
+
+    The computed products obey |fl(AB) - AB| <= gamma_n |A||B| componentwise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.5),
+    so rounding alone leaves a few units of roundoff here at any truncation,
+    while the entries of AB grow like n_trunc^1.5.
+    """
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    return np.abs(defect) / (1.0 + abs_a @ abs_b + abs_b @ abs_a)
+
+
 def check_ladder_algebra(system: LadderSystem) -> CheckReport:
     """Defining relations at truncation: [b, b*] = 1 away from the corner,
-    and the number operator shifts b and b* by -1 and +1 everywhere."""
+    and the number operator shifts b and b* by -1 and +1 everywhere. Each
+    relation's defect is measured relative to its rounding bound."""
     b = system.lowering
     bd = b.conj().T
+    number = system.number
     n = system.n_trunc
-    eye = np.eye(n)
     comm = b @ bd - bd @ b
     protected = slice(0, n - 1)
-    resid = max(
-        _max_abs((comm - eye)[protected, protected]),
-        _max_abs((system.number @ b - b @ system.number) + b),
-        _max_abs((system.number @ bd - bd @ system.number) - bd),
-    )
+    resid = worst([
+        np.max(_commutator_defect(comm - np.eye(n), b, bd)[protected, protected]),
+        np.max(_commutator_defect(number @ b - b @ number + b, number, b)),
+        np.max(_commutator_defect(number @ bd - bd @ number - bd, number, bd)),
+    ])
     return make_report("ladder_algebra", CITE_ALGEBRA, resid, 1e-12, context={
         "n_trunc": n,
         "corner_entry": float(comm[n - 1, n - 1].real),
+        "residual_scaling": "entrywise, relative to 1 + |A||B| + |B||A|",
     })
 
 
@@ -163,7 +177,7 @@ def eigenstate_overlap_check(system: LadderSystem, m_max: int = 4) -> CheckRepor
         rep = eigenstate_representations(system, m)
         norm_defects.append(abs(float(np.sum(np.abs(rep.phi) ** 2)) - 1.0))
         norm_defects.append(abs(float(np.sum(np.abs(rep.chi) ** 2)) - 1.0))
-    resid = max(resid, max(norm_defects))
+    resid = worst([resid] + norm_defects)
     return make_report("ladder_eigenstate_overlap", CITE_OVERLAP, resid, 1e-10, context={
         "n_trunc": n,
         "m_max": m_max,

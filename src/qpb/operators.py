@@ -14,6 +14,11 @@ Operator kinds and their action by representation:
 
 The spectral derivative zeroes the Nyquist multiplier so the operator stays
 Hermitian on even-sized grids.
+
+Operators act on the trailing grid.dim axes of their input: axis m of the
+grid is array axis m - grid.dim, and coordinates broadcast against those
+axes. `apply_block` therefore takes a (k, *grid.shape) block of k states as
+readily as one state; `apply` calls it on a single WaveFunction.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .errors import (
     IncompatibleOperandsError,
     RepresentationError,
 )
-from .grids import UniformGrid, WaveFunction, boundary_mass, inner_product
+from .grids import UniformGrid, WaveFunction, boundary_mass, inner_product_block
 from .report import CheckReport, make_report
-from .transforms import to_momentum, to_position
+from .transforms import reciprocal_grid, transform_block
 
 CITE_POISSON = 'Eq 20 / Eq 18, "= iħ I f(r)" derivation chain (§3 proof)'
 CITE_COROLLARY = 'Eq 21 corollary, "Proof is easily obtained by direct expansion"'
@@ -74,32 +79,38 @@ def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int) -> np
     mult[grid.n_points // 2] = 0.0  # Nyquist must not leak into odd derivatives
     shape = [1] * grid.dim
     shape[axis] = grid.n_points
+    axis -= grid.dim
     return np.fft.ifft(mult.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def _central_difference(values: np.ndarray, grid: UniformGrid, axis: int) -> np.ndarray:
+    axis -= grid.dim
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * grid.spacing)
+
+
+def apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
+                representation: str = "position") -> np.ndarray:
+    """Apply op to every state of a block on `grid` in `representation`."""
+    if not op.grid.compatible(grid):
+        raise IncompatibleOperandsError("operator and state live on incompatible grids")
+    if representation == "position":
+        if op.kind == "position_multiply":
+            return grid.coordinate(op.axis) * values
+        if op.kind == "momentum_spectral":
+            return -1j * grid.hbar * _spectral_derivative(values, grid, op.axis)
+        return -1j * grid.hbar * _central_difference(values, grid, op.axis)
+    if representation == "momentum":
+        if op.kind == "position_multiply":
+            r_grid = reciprocal_grid(grid)
+            pos = transform_block(values, grid, "momentum")
+            return transform_block(r_grid.coordinate(op.axis) * pos, r_grid, "position")
+        return grid.coordinate(op.axis) * values
+    raise RepresentationError(f"operators act on position or momentum states, got {representation!r}")
 
 
 def apply(op: GridOperator, psi: WaveFunction) -> WaveFunction:
     """Apply op to psi; linear, pure, and representation-aware."""
-    if not op.grid.compatible(psi.grid):
-        raise IncompatibleOperandsError("operator and state live on incompatible grids")
-    g, v = psi.grid, psi.values
-    if psi.representation == "position":
-        if op.kind == "position_multiply":
-            return psi.with_values(g.coordinate(op.axis) * v)
-        if op.kind == "momentum_spectral":
-            return psi.with_values(-1j * g.hbar * _spectral_derivative(v, g, op.axis))
-        return psi.with_values(-1j * g.hbar * _central_difference(v, g, op.axis))
-    if psi.representation == "momentum":
-        if op.kind == "position_multiply":
-            pos = to_position(psi)
-            weighted = pos.with_values(pos.grid.coordinate(op.axis) * pos.values)
-            back = to_momentum(weighted)
-            return psi.with_values(back.values)
-        return psi.with_values(g.coordinate(op.axis) * v)
-    raise RepresentationError(f"operators act on position or momentum states, got {psi.representation!r}")
+    return psi.with_values(apply_block(op, psi.values, psi.grid, psi.representation))
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> WaveFunction:
@@ -137,7 +148,7 @@ def poisson_residual(psi: WaveFunction, interior_mask_threshold: float = 1e-6,
     at order spacing^2; its tolerance is 2 C h^2 with C estimated from the
     state's second derivative and recorded in the context.
     """
-    if abs(psi.norm() - 1.0) > 1e-9:
+    if not abs(psi.norm() - 1.0) <= 1e-9:
         raise ConfigurationError("poisson_residual expects a normalized state")
     bm = _require_boundary_clean(psi)
     if psi.representation != "position":
@@ -199,16 +210,27 @@ def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float 
 
 
 def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
-    """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target."""
+    """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target.
+
+    P_n psi is computed once per n and reused for the three X_m P_n psi terms.
+    """
     if psi.grid.dim != 3:
         raise ConfigurationError("commutator_expectation_matrix needs a 3D state")
     if psi.representation != "position":
         raise RepresentationError("commutator_expectation_matrix checks position-representation states")
     _require_boundary_clean(psi)
-    g = psi.grid
+    g, v = psi.grid, psi.values
     out = np.zeros((3, 3), dtype=np.complex128)
-    for m in range(3):
-        for n in range(3):
-            comm = commutator_apply(position_operator(g, m), momentum_operator(g, n, backend=backend), psi)
-            out[m, n] = inner_product(psi, comm) / (1j * g.hbar)
+    for n in range(3):
+        p_n = momentum_operator(g, n, backend=backend)
+        p_psi = apply_block(p_n, v, g)
+        for m in range(3):
+            x_m = position_operator(g, m)
+            # P_n X_m psi first, so its FFT temporaries never coexist with
+            # X_m P_n psi; the rebinding and the del free each product once
+            # used, so at most five grid-sized arrays are alive at once
+            comm = apply_block(p_n, apply_block(x_m, v, g), g)
+            comm = apply_block(x_m, p_psi, g) - comm
+            out[m, n] = complex(inner_product_block(v, comm, g)) / (1j * g.hbar)
+            del comm
     return out

@@ -44,6 +44,15 @@ def _plain(value):
     return value
 
 
+def worst(values, axis=None):
+    """Largest value, NaN if any value is NaN (Python's max drops a NaN that
+    is not first); bound checks write max(0, floor - min(xs)) through it.
+    With `axis`, the row-wise largest values of stacked arrays."""
+    if axis is None:
+        return float(np.max(values))
+    return np.max(values, axis=axis)
+
+
 def make_report(check_id: str, paper_ref: str, residual: float, tolerance: float,
                 context: dict | None = None) -> CheckReport:
     """Build a CheckReport with pass = (residual <= tolerance).

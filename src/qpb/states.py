@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import UniformGrid, WaveFunction, normalize
+from .grids import UniformGrid, WaveFunction, normalize, normalize_block
 
 
 def gaussian(grid: UniformGrid, sigma: float = 1.0, center: float = 0.0,
@@ -34,8 +34,8 @@ def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0),
     v = np.ones(grid.shape, dtype=np.complex128)
     for axis, s in enumerate(sigmas):
         x = grid.coordinate(axis)
-        v = v * np.exp(-(x**2) / (2.0 * s**2))
-    return normalize(WaveFunction(grid=grid, representation=representation, values=v))
+        v *= np.exp(-(x**2) / (2.0 * s**2))
+    return WaveFunction(grid=grid, representation=representation, values=normalize_block(v, grid))
 
 
 def oscillator_eigenstate(grid: UniformGrid, n: int, sigma: float = 1.0) -> WaveFunction:
@@ -102,21 +102,31 @@ def _band_basis(grid: UniformGrid, n_modes: int,
 
 
 def random_band_limited(grid: UniformGrid, rng: np.random.Generator, n_modes: int = 6,
-                        envelope_divisor: float = 8.0,
-                        representation: str = "position") -> WaveFunction:
+                        envelope_divisor: float = 8.0, representation: str = "position",
+                        n_states: int | None = None):
     """Seeded boundary-clean state: Gaussian envelope times random low modes.
 
     The envelope width L/envelope_divisor keeps boundary-band mass far below
     the unitarity tolerances, so these states are valid inputs for round-trip
     and norm-preservation properties. The basis is computed once per
     (grid, n_modes, envelope_divisor); only the coefficients are drawn.
+
+    Draws a block: with n_states, the result is the (n_states, n_points)
+    array of normalized samples, one state per row; without, it is a
+    WaveFunction holding row 0 of a block of one. Each row takes its
+    2 n_modes + 1 real, then 2 n_modes + 1 imaginary coefficient parts next
+    from rng, so a block of k and k single draws consume the same stream and
+    give the same bits.
     """
     if grid.dim != 1:
         raise ConfigurationError("random_band_limited builds 1D states")
     waves, envelope = _band_basis(grid, n_modes, envelope_divisor)
-    c = rng.normal(size=2 * n_modes + 1) + 1j * rng.normal(size=2 * n_modes + 1)
-    modes = np.zeros(grid.n_points, dtype=np.complex128)
+    draws = rng.normal(size=(1 if n_states is None else n_states, 2, 2 * n_modes + 1))
+    c = draws[:, 0] + 1j * draws[:, 1]
+    modes = np.zeros((len(c), grid.n_points), dtype=np.complex128)
     for j in range(2 * n_modes + 1):
-        modes += c[j] * waves[j]
-    v = envelope * modes
-    return normalize(WaveFunction(grid=grid, representation=representation, values=v))
+        modes += c[:, j, None] * waves[j]
+    block = normalize_block(envelope * modes, grid)
+    if n_states is not None:
+        return block
+    return WaveFunction(grid=grid, representation=representation, values=block[0])

@@ -14,8 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .grids import WaveFunction, make_uniform_grid
+from .errors import ConfigurationError, ResourceBoundError
+from .grids import UniformGrid, WaveFunction, make_uniform_grid
 from .kk import (
     CITE_KK,
     CITE_PHASE,
@@ -44,8 +44,8 @@ from .moments import (
     CITE_BOUND,
     CITE_SPREAD,
     CITE_VECTOR,
+    pair_moments_block,
     saturation_check,
-    uncertainty_check,
     vector_uncertainty_check,
 )
 from .operators import (
@@ -58,7 +58,7 @@ from .operators import (
     poisson_residual,
     position_operator,
 )
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, worst
 from .states import (
     conjugate_gaussian_pair,
     gaussian,
@@ -77,7 +77,14 @@ from .symbolic import (
     weyl_symmetrize,
     taylor_operator,
 )
-from .transforms import CITE_PARSEVAL, check_parseval, to_momentum, to_position
+from .transforms import (
+    CITE_PARSEVAL,
+    parseval_block,
+    reciprocal_grid,
+    to_momentum,
+    to_position,
+    transform_block,
+)
 
 CITE_ROUND_TRIP = 'Eq 7, "having the inverse transform given by"'
 CITE_DIMENSIONAL = 'Eq 6, "we may define the three-dimensional Fourier transform"'
@@ -134,6 +141,15 @@ ORACLE_TERM_DEGREE = 4
 WEYL_MIN_N_TRUNC = 2 * ORACLE_TERM_DEGREE + 1
 WRONG_PLANE_FLOOR = 1e-2
 FD_RATIO_FLOOR = 3.5
+# seeded state families stream through the kernels in blocks of this many
+# grid samples: 64 states at 256 points, 16 at 1024
+BLOCK_SAMPLES = 2**14
+# one memory budget bounds the largest arrays a run allocates: a dense
+# n_trunc x n_trunc complex128 matrix (ladder, weyl's oracle), and 64
+# complex128 arrays of n_points samples, more than a 1D check keeps alive
+MEMORY_BUDGET_BYTES = 64 * 2**20
+MAX_N_TRUNC = math.isqrt(MEMORY_BUDGET_BYTES // 16)
+MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
 
 
 @dataclass(frozen=True)
@@ -162,6 +178,13 @@ class SuiteConfig:
                                      f"products of two degree-{ORACLE_TERM_DEGREE} draws")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        budget = f"the {MEMORY_BUDGET_BYTES // 2**20} MiB memory budget"
+        if self.n_trunc > MAX_N_TRUNC:
+            raise ResourceBoundError(f"n_trunc {self.n_trunc} exceeds {MAX_N_TRUNC}, "
+                                     f"the largest dense matrix within {budget}")
+        if self.n_points is not None and self.n_points > MAX_N_POINTS:
+            raise ResourceBoundError(f"n_points {self.n_points} exceeds {MAX_N_POINTS}, "
+                                     f"the largest grid within {budget}")
         unknown = set(self.tolerances) - KNOWN_CHECK_IDS
         if unknown:
             raise ConfigurationError(
@@ -181,10 +204,11 @@ class SuiteConfig:
         return float(self.tolerances.get(check_id, default))
 
 
-def _worst(values) -> float:
-    """Largest value, NaN if any value is NaN (Python's max drops a NaN that
-    is not first); bound checks write max(0, floor - min(xs)) through it."""
-    return float(np.max(values))
+def _block_sizes(n_states: int, grid: UniformGrid) -> list[int]:
+    """Row counts of the blocks of at most BLOCK_SAMPLES samples (and at
+    least one state) that together hold n_states states on grid."""
+    rows = max(1, BLOCK_SAMPLES // grid.size)
+    return [min(rows, n_states - start) for start in range(0, n_states, rows)]
 
 
 def _fold(check_id: str, reports: list[CheckReport], tolerance: float,
@@ -192,7 +216,7 @@ def _fold(check_id: str, reports: list[CheckReport], tolerance: float,
     """Aggregate per-case reports for one check: worst residual wins (a NaN in
     any case makes it NaN, so the fold fails), and a case that failed
     semantically despite a small residual keeps the fold red."""
-    residual = _worst([r.residual for r in reports])
+    residual = worst([r.residual for r in reports])
     forced_fail = any((not r.passed) and r.residual <= r.tolerance for r in reports)
     context = {"n_cases": len(reports)}
     if extra:
@@ -214,20 +238,22 @@ def _exact(check_id: str, paper_ref: str, ok: bool, tolerance: float,
 def _fourier_checks(cfg: SuiteConfig) -> list[CheckReport]:
     n, half = cfg.grid_1d("fourier")
     grid = make_uniform_grid(1, n, half, cfg.hbar)
+    r_grid = reciprocal_grid(grid)
     rng = np.random.default_rng(cfg.seed)
-    round_trip_defects = []
-    parseval_reports = []
-    for _ in range(N_TRANSFORM_STATES):
-        psi = random_band_limited(grid, rng)
-        back = to_position(to_momentum(psi))
-        round_trip_defects.append(float(np.max(np.abs(back.values - psi.values))))
-        parseval_reports.append(check_parseval(psi))
+    round_trip_defects, parseval_residuals = [], []
+    for rows in _block_sizes(N_TRANSFORM_STATES, grid):
+        block = random_band_limited(grid, rng, n_states=rows)
+        momentum = transform_block(block, grid, "position")
+        back = transform_block(momentum, r_grid, "momentum")
+        round_trip_defects.append(np.max(np.abs(back - block), axis=-1))
+        parseval_residuals.append(parseval_block(block, momentum, grid)["residual"])
     r_round = make_report(
-        "fourier_round_trip", CITE_ROUND_TRIP, _worst(round_trip_defects),
+        "fourier_round_trip", CITE_ROUND_TRIP, worst(np.concatenate(round_trip_defects)),
         cfg.tol("fourier_round_trip", 1e-12),
         context={"n_states": N_TRANSFORM_STATES, "n_points": n, "half_extent": half})
-    r_parseval = _fold("fourier_parseval", parseval_reports,
-                       cfg.tol("fourier_parseval", 1e-12))
+    r_parseval = make_report(
+        "fourier_parseval", CITE_PARSEVAL, worst(np.concatenate(parseval_residuals)),
+        cfg.tol("fourier_parseval", 1e-12), context={"n_cases": N_TRANSFORM_STATES})
 
     # the kernel depends on p/hbar only, so doubling hbar together with the
     # momentum extent maps onto the same position grid; renormalizing the
@@ -284,7 +310,7 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     ratios = [resids[0] / resids[1], resids[1] / resids[2]]
     r_fd = make_report(
         "poisson_fd_convergence", fd_reports[0].paper_ref,
-        _worst([0.0] + [FD_RATIO_FLOOR - r for r in ratios]),
+        worst([0.0] + [FD_RATIO_FLOOR - r for r in ratios]),
         cfg.tol("poisson_fd_convergence", 0.0),
         context={"grid_sizes": [n, 2 * n, 4 * n], "residuals": resids,
                  "ratios": ratios, "required_ratio": FD_RATIO_FLOOR})
@@ -306,7 +332,7 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     interior = np.abs(psi3.values) > 1e-6 * peak
     pointwise = float(np.max(np.abs(cross.values)[interior])) / peak
     r_tensor = make_report(
-        "tensor_kronecker", CITE_KRONECKER, _worst([matrix_defect, pointwise]),
+        "tensor_kronecker", CITE_KRONECKER, worst([matrix_defect, pointwise]),
         cfg.tol("tensor_kronecker", 1e-6),
         context={"n_points": n3, "half_extent": half3,
                  "matrix_defect": matrix_defect,
@@ -325,7 +351,7 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     gaps = [float(np.max(np.abs(hilbert_spectral(s, grid) - pv_quadrature_all(s, grid))))
             for s in signals]
     r_oracle = make_report(
-        "kk_oracle_agreement", CITE_PV, _worst(gaps), cfg.tol("kk_oracle_agreement", 1e-5),
+        "kk_oracle_agreement", CITE_PV, worst(gaps), cfg.tol("kk_oracle_agreement", 1e-5),
         context={"n_points": n, "half_extent": half,
                  "signals": ["pole a=0.5", "pole a=1", "pole a=2", "zero-mean packet"],
                  "gaps": gaps})
@@ -337,9 +363,9 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
         h = hilbert_spectral(re, gi)
         center = gi.n_points // 2
         probes = [center, center - n // 16, center + n // 16]
-        line_gaps.append(_worst(
+        line_gaps.append(worst(
             [abs(pv_quadrature(re, gi, j, kernel="line") - h[j]) for j in probes]))
-    growth = _worst([0.0, line_gaps[1] - line_gaps[0], line_gaps[2] - line_gaps[1]])
+    growth = worst([0.0, line_gaps[1] - line_gaps[0], line_gaps[2] - line_gaps[1]])
     r_refine = make_report(
         "kk_refinement_monotone", CITE_PV, growth, cfg.tol("kk_refinement_monotone", 0.0),
         context={"scales": [1, 2, 4], "line_kernel_gaps": line_gaps})
@@ -356,7 +382,7 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     wrong_resids = [r.residual for r in wrong]
     r_wrong = make_report(
         "kk_wrong_half_plane", CITE_KK,
-        _worst([0.0] + [WRONG_PLANE_FLOOR - r for r in wrong_resids]),
+        worst([0.0] + [WRONG_PLANE_FLOOR - r for r in wrong_resids]),
         cfg.tol("kk_wrong_half_plane", 0.0),
         context={"wrong_declaration_residuals": wrong_resids,
                  "required_floor": WRONG_PLANE_FLOOR})
@@ -428,7 +454,7 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
             float(np.max(np.abs((nf - m_a)[sa, sa]))) / (1.0 + float(np.max(np.abs(m_a)))),
         ]
     r_oracle = make_report(
-        "weyl_matrix_oracle", CITE_MATRIX_ORACLE, _worst(residuals),
+        "weyl_matrix_oracle", CITE_MATRIX_ORACLE, worst(residuals),
         cfg.tol("weyl_matrix_oracle", 1e-10),
         context={"n_draws": N_ORACLE_DRAWS, "n_trunc": cfg.n_trunc,
                  "max_term_degree": ORACLE_TERM_DEGREE,
@@ -475,16 +501,14 @@ def _uncertainty_checks(cfg: SuiteConfig) -> list[CheckReport]:
 
     rng = np.random.default_rng(cfg.seed)
     residuals, products = [], []
-    for _ in range(N_BOUND_STATES):
-        psi = random_band_limited(grid, rng)
-        rep = uncertainty_check(psi, x_op, p_op,
-                                check_id="uncertainty_random_bound", paper_ref=CITE_BOUND)
-        residuals.append(rep.residual)
-        products.append(rep.context["product"])
+    for rows in _block_sizes(N_BOUND_STATES, grid):
+        data = pair_moments_block(random_band_limited(grid, rng, n_states=rows), grid, x_op, p_op)
+        residuals.append(np.maximum(0.0, data["half_commutator_magnitude"] - data["product"]))
+        products.append(data["product"])
     r_random = make_report(
-        "uncertainty_random_bound", CITE_BOUND, _worst(residuals),
+        "uncertainty_random_bound", CITE_BOUND, worst(np.concatenate(residuals)),
         cfg.tol("uncertainty_random_bound", 1e-8),
-        context={"n_states": N_BOUND_STATES, "min_product": float(np.min(products)),
+        context={"n_states": N_BOUND_STATES, "min_product": float(np.min(np.concatenate(products))),
                  "bound": target})
 
     hermites = [1, 2, 3]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qpb import cli
 from qpb.cli import main
 
 PKG = [sys.executable, "-m", "qpb"]
@@ -109,3 +110,14 @@ def test_weyl_n_trunc_floor_is_config_error(capsys):
     assert main(["verify", "weyl", "--n-trunc", "8"]) == 2
     assert "n_trunc" in capsys.readouterr().err
     assert main(["verify", "weyl", "--n-trunc", "9", "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--n-trunc", "100000"), ("--n-trunc", "2049"),
+                                        ("--n-points", str(2**17))])
+def test_resource_bounds_are_config_errors_before_any_check(flag, value, monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert main(["verify", "ladder", flag, value]) == 2
+    assert "memory budget" in capsys.readouterr().err

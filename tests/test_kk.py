@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpb import kk
 from qpb.errors import BoundaryContaminationError, ConfigurationError, PhaseUndefinedError
 from qpb.grids import make_uniform_grid
 from qpb.kk import (
@@ -227,3 +228,21 @@ def test_pole_family_validates_parameters():
         pole_family(grid, -1.0)
     with pytest.raises(ConfigurationError):
         periodized_pole(grid, 1.0, "diagonal")
+
+
+def test_kk_residual_nan_in_second_line_fails(monkeypatch):
+    # the re-line residual comes second, where Python's max dropped a NaN
+    original = kk.hilbert_spectral
+    calls = []
+
+    def spoiled(re_part, grid):
+        calls.append(1)
+        out = original(re_part, grid)
+        return out * np.nan if len(calls) == 2 else out
+
+    monkeypatch.setattr(kk, "hilbert_spectral", spoiled)
+    grid = _grid(4096, 64.0)
+    report = kk_residual(AnalyticSignal(grid, periodized_pole(grid, 1.0), "lower"))
+    assert len(calls) == 2
+    assert np.isnan(report.residual)
+    assert not report.passed

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qpb import ladder
 from qpb.errors import (
     ConfigurationError,
     DegenerateStateError,
@@ -8,6 +11,7 @@ from qpb.errors import (
     ProtectedRangeError,
 )
 from qpb.ladder import (
+    LadderSystem,
     build,
     check_ladder_algebra,
     eigenstate_overlap_check,
@@ -134,3 +138,50 @@ def test_build_validates_parameters():
         build(N, omega=-1.0)
     with pytest.raises(ConfigurationError):
         build(N, hbar=0.0)
+
+
+def _with_number(system, number):
+    return LadderSystem(n_trunc=system.n_trunc, omega=system.omega, hbar=system.hbar,
+                        lowering=system.lowering, energy=system.energy,
+                        time=system.time, number=number)
+
+
+@pytest.mark.parametrize("n_trunc", [192, 512])
+def test_ladder_algebra_scale_aware_at_large_truncation(n_trunc):
+    # the absolute residual grows like n_trunc^1.5 * eps (1.15e-12 at 192);
+    # measured against 1 + |A||B| + |B||A| it stays at a few eps
+    report = check_ladder_algebra(build(n_trunc))
+    assert report.passed
+    assert report.residual < 1e-15
+
+
+@pytest.mark.parametrize("n_trunc,index", [(64, 0), (64, 63), (192, 0), (512, 0)])
+def test_ladder_algebra_detects_a_small_defect_in_number(n_trunc, index):
+    system = build(n_trunc)
+    number = np.array(system.number)
+    number[index, index] += 1e-9
+    report = check_ladder_algebra(_with_number(system, number))
+    assert not report.passed
+
+
+def test_ladder_algebra_nan_fails():
+    # the NaN reaches the second and third relation, which Python's max dropped
+    system = build(N)
+    number = np.array(system.number)
+    number[N // 2, N // 2] = np.nan
+    report = check_ladder_algebra(_with_number(system, number))
+    assert np.isnan(report.residual)
+    assert not report.passed
+
+
+def test_eigenstate_overlap_nan_norm_defect_fails(monkeypatch):
+    original = ladder.eigenstate_representations
+
+    def spoiled(system, m):
+        rep = original(system, m)
+        return replace(rep, chi=rep.chi * np.nan) if m == 2 else rep
+
+    monkeypatch.setattr(ladder, "eigenstate_representations", spoiled)
+    report = eigenstate_overlap_check(build(N), m_max=4)
+    assert np.isnan(report.residual)
+    assert not report.passed

@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,10 @@ from qpb.states import gaussian, gaussian_3d, oscillator_eigenstate, random_band
 # normalized Gaussian; frozen from the closed forms at sigma = 2, hbar = 1
 GAUSSIAN_SIGMA2_SPREAD_X = 1.4142135623730951
 GAUSSIAN_SIGMA2_SPREAD_P = 0.3535533905932738
+
+
+# the package re-exports the function `moments`, which hides the module
+moments_module = importlib.import_module("qpb.moments")
 
 
 def _ops(grid):
@@ -139,3 +146,43 @@ def test_moments_require_normalized_state():
     psi = gaussian(grid, sigma=1.0).with_values(2.0 * gaussian(grid, sigma=1.0).values)
     with pytest.raises(PreconditionError):
         moments(psi, x_op)
+
+
+def test_moments_nan_state_is_precondition_error():
+    grid = make_uniform_grid(1, 64, 8.0)
+    x_op, _ = _ops(grid)
+    values = np.array(gaussian(grid, sigma=1.0).values)
+    values[10] = np.nan
+    with pytest.raises(PreconditionError, match="normalized"):
+        moments(gaussian(grid, sigma=1.0).with_values(values), x_op)
+
+
+def test_uncertainty_bound_nan_violation_fails(monkeypatch):
+    # max(0.0, nan) is 0.0: the clamp used to turn a NaN into a pass
+    original = moments_module.pair_moments_block
+
+    def spoiled(*args, **kwargs):
+        return {**original(*args, **kwargs), "half_commutator_magnitude": np.nan}
+
+    monkeypatch.setattr(moments_module, "pair_moments_block", spoiled)
+    grid = make_uniform_grid(1, 256, 8.0)
+    x_op, p_op = _ops(grid)
+    report = uncertainty_check(gaussian(grid, sigma=1.0), x_op, p_op)
+    assert np.isnan(report.residual)
+    assert not report.passed
+
+
+def test_vector_bound_nan_spread_fails(monkeypatch):
+    original = moments_module.moments
+    calls = []
+
+    def spoiled(psi, op):
+        calls.append(1)
+        m = original(psi, op)
+        return replace(m, spread=np.nan) if len(calls) == 4 else m
+
+    monkeypatch.setattr(moments_module, "moments", spoiled)
+    grid = make_uniform_grid(3, 16, 8.0)
+    report = vector_uncertainty_check(gaussian_3d(grid, sigmas=(1.0, 1.0, 1.0)), mode="bound")
+    assert np.isnan(report.residual)
+    assert not report.passed

@@ -141,3 +141,11 @@ def test_operator_grid_compatibility_enforced():
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError):
         momentum_operator(_grid(64, 4.0), backend="stencil9")
+
+
+def test_poisson_nan_norm_is_config_error():
+    grid = _grid(64, 4.0)
+    values = np.array(gaussian(grid, sigma=1.0).values)
+    values[7] = np.nan
+    with pytest.raises(ConfigurationError):
+        poisson_residual(WaveFunction(grid=grid, representation="position", values=values))

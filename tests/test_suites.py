@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from qpb import suites
-from qpb.errors import ConfigurationError
+from qpb.errors import ConfigurationError, ResourceBoundError
 from qpb.report import make_report
 from qpb.suites import CITATIONS, KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
 
@@ -86,11 +86,18 @@ def _nan_report(rep):
     return replace(rep, residual=math.nan)
 
 
+def _nan_product_row(data):
+    product = data["product"].copy()
+    product[5] = math.nan
+    return {**data, "product": product}
+
+
 # (check, suite, suite-level function, which call to spoil, how); each spoiled
-# call sits where Python's max/min would have dropped the NaN
+# call sits where Python's max/min would have dropped the NaN; a block kernel
+# is spoiled in one row of one block
 NAN_CASES = [
     ("weyl_matrix_oracle", "weyl", "matrix_realize", 7, lambda m: m * math.nan),
-    ("uncertainty_random_bound", "uncertainty", "uncertainty_check", 2, _nan_report),
+    ("uncertainty_random_bound", "uncertainty", "pair_moments_block", 2, _nan_product_row),
     ("poisson_fd_convergence", "poisson", "poisson_residual", 8, _nan_report),
     ("kk_wrong_half_plane", "kk", "kk_residual", 5, _nan_report),
     ("kk_refinement_monotone", "kk", "pv_quadrature", 5, lambda v: v * math.nan),
@@ -123,3 +130,21 @@ def test_weyl_n_trunc_floor_follows_oracle_degree():
             SuiteConfig(suite=suite, n_trunc=suites.WEYL_MIN_N_TRUNC - 1)
         SuiteConfig(suite=suite, n_trunc=suites.WEYL_MIN_N_TRUNC)
     SuiteConfig(suite="ladder", n_trunc=8)
+
+
+def test_resource_caps_follow_one_memory_budget():
+    assert 16 * suites.MAX_N_TRUNC**2 <= suites.MEMORY_BUDGET_BYTES
+    assert 16 * (suites.MAX_N_TRUNC + 1) ** 2 > suites.MEMORY_BUDGET_BYTES
+    assert suites.MAX_N_POINTS == 2**16
+    SuiteConfig(suite="ladder", n_trunc=suites.MAX_N_TRUNC, n_points=suites.MAX_N_POINTS)
+    with pytest.raises(ResourceBoundError):
+        SuiteConfig(suite="ladder", n_trunc=suites.MAX_N_TRUNC + 1)
+    with pytest.raises(ResourceBoundError):
+        SuiteConfig(suite="kk", n_points=2 * suites.MAX_N_POINTS)
+
+
+def test_default_and_benchmark_configs_are_within_bounds():
+    # the shipped defaults and the sizes bench/run.py runs
+    for kwargs in ({}, {"suite": "kk", "n_points": 8192, "half_extent": 128.0},
+                   {"suite": "uncertainty", "n_points": 1024}, {"suite": "weyl", "n_trunc": 96}):
+        SuiteConfig(**kwargs)

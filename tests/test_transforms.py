@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpb import transforms
 from qpb.errors import ConfigurationError, PreconditionError, RepresentationError
 from qpb.grids import WaveFunction, inner_product, make_uniform_grid
 from qpb.states import conjugate_gaussian_pair, gaussian, random_band_limited
@@ -118,3 +119,28 @@ def test_parseval_requires_normalized_state():
     psi = WaveFunction(grid=grid, representation="position", values=np.ones(64))
     with pytest.raises(PreconditionError):
         check_parseval(psi)
+
+
+def test_parseval_nan_sample_is_precondition_error():
+    psi = gaussian(_grid(), sigma=1.0)
+    values = np.array(psi.values)
+    values[3] = np.nan
+    with pytest.raises(PreconditionError):
+        check_parseval(psi.with_values(values))
+
+
+def test_parseval_nan_band_mass_fails(monkeypatch):
+    # a NaN in the last of the three terms was dropped by Python's max
+    original = transforms.boundary_band_fraction
+    calls = []
+
+    def spoiled(values, band_divisor=8):
+        calls.append(1)
+        out = original(values, band_divisor)
+        return out * np.nan if len(calls) == 2 else out
+
+    monkeypatch.setattr(transforms, "boundary_band_fraction", spoiled)
+    report = check_parseval(gaussian(_grid(), sigma=1.0))
+    assert len(calls) == 2
+    assert math.isnan(report.residual)
+    assert not report.passed
