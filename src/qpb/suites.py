@@ -9,6 +9,7 @@ selected suite. 3D checks keep fixed sizes for runtime predictability.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -150,6 +151,22 @@ BLOCK_SAMPLES = 2**14
 MEMORY_BUDGET_BYTES = 64 * 2**20
 MAX_N_TRUNC = math.isqrt(MEMORY_BUDGET_BYTES // 16)
 MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
+# weyl's oracle evaluates commutators of two draws, each of hbar degree <= 1,
+# whose normal ordering adds one hbar per contraction: at most one per pair
+# of the 2 * ORACLE_TERM_DEGREE letters of a product
+WEYL_HBAR_DEGREE = 2 + ORACLE_TERM_DEGREE
+# A Python float power raises OverflowError where numpy returns inf, so each
+# value a suite raises to a power p in Python floats must keep value ** p
+# within the float range: (parameter, exponent p, suites, where it is raised)
+_POWER_BOUNDS = (
+    ("hbar", WEYL_HBAR_DEGREE, ("weyl",), "HbarPoly.evaluate's hbar ** degree"),
+    ("hbar", 2, ("kk",), "conjugate_gaussian_pair's hbar ** 2"),
+    ("hbar", -2, ("kk",), "conjugate_gaussian_pair's division by hbar ** 2"),
+    ("hbar", -1.5, ("fourier",),
+     "transform_block's (spacing / sqrt(2 pi hbar)) ** 3 on a 3D grid"),
+    ("half_extent", 2, ("fourier", "kk", "uncertainty"),
+     "the state envelopes' (half_extent / 8) ** 2"),
+)
 
 
 @dataclass(frozen=True)
@@ -178,6 +195,16 @@ class SuiteConfig:
                                      f"products of two degree-{ORACLE_TERM_DEGREE} draws")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        log_max = math.log(sys.float_info.max)
+        for name, power, suites, site in _POWER_BOUNDS:
+            value = getattr(self, name)
+            if value is None or self.suite not in suites + ("all",):
+                continue
+            if power * math.log(value) > log_max:
+                side = "below" if power > 0 else "above"
+                raise ConfigurationError(
+                    f"{name} {value} is out of range for {self.suite}: {site} overflows; "
+                    f"{name} must stay {side} about {sys.float_info.max ** (1.0 / power):.3g}")
         budget = f"the {MEMORY_BUDGET_BYTES // 2**20} MiB memory budget"
         if self.n_trunc > MAX_N_TRUNC:
             raise ResourceBoundError(f"n_trunc {self.n_trunc} exceeds {MAX_N_TRUNC}, "

@@ -1,56 +1,116 @@
 """Exact scalars for the operator calculus.
 
-GaussianRational is a complex number with rational real and imaginary parts.
-HbarPoly is a polynomial in the reduced Planck constant with GaussianRational
-coefficients, so every commutator identity can be checked without rounding.
+GaussianRational is a complex number with rational real and imaginary parts,
+stored as Python ints (a + b i) / d in lowest terms, so each sum or product
+costs one three-argument gcd and equal values have equal fields. HbarPoly is a
+polynomial in the reduced Planck constant with GaussianRational coefficients,
+so every commutator identity can be checked without rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    """(a + b i) / d with ints a, b and d > 0, gcd(a, b, d) == 1."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of the denominators the three fields share no factor
+        d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b i) / d for d > 0, divided through by gcd(a, b, d)."""
+        g = gcd(a, b, d)
+        out = object.__new__(cls)
+        if g == 1:
+            out._a, out._b, out._d = a, b, d
+        else:
+            out._a, out._b, out._d = a // g, b // g, d // g
+        return out
 
     @classmethod
     def of(cls, re=0, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+        return cls(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return GaussianRational._reduced(self._a + other._a, self._b + other._b, d1)
+        return GaussianRational._reduced(self._a * d2 + other._a * d1,
+                                         self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return GaussianRational._reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                                         self._d * other._d)
+
+    def times_neg_i_power(self, n: int, m: int) -> "GaussianRational":
+        """self * n * (-i)^m for an int n != 0: m quarter turns clockwise and
+        one integer scale, the weight of n ways to make m contractions."""
+        a, b = self._a, self._b
+        a, b = ((a, b), (b, -a), (-a, -b), (-b, a))[m % 4]
+        # gcd(a, b, d) == 1, so gcd(n a, n b, d) == gcd(n, d)
+        g = gcd(n, self._d)
+        out = object.__new__(GaussianRational)
+        out._a, out._b, out._d = a * (n // g), b * (n // g), self._d // g
+        return out
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        out = object.__new__(GaussianRational)
+        out._a, out._b, out._d = -self._a, -self._b, self._d
+        return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        out = object.__new__(GaussianRational)
+        out._a, out._b, out._d = self._a, -self._b, self._d
+        return out
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int true division is correctly rounded, like float(Fraction)
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
 
 
 GR_ZERO = GaussianRational()
@@ -104,7 +164,11 @@ class HbarPoly:
     def __add__(self, other: "HbarPoly") -> "HbarPoly":
         out = dict(self._coeffs)
         for deg, c in other._coeffs.items():
-            s = out.get(deg, GR_ZERO) + c
+            prev = out.get(deg)
+            if prev is None:
+                out[deg] = c
+                continue
+            s = prev + c
             if s.is_zero():
                 out.pop(deg, None)
             else:
@@ -133,6 +197,12 @@ class HbarPoly:
                     out[d] = s
         res = HbarPoly.__new__(HbarPoly)
         res._coeffs = out
+        return res
+
+    def times_neg_i_hbar_power(self, n: int, m: int) -> "HbarPoly":
+        """self * n * (-i hbar)^m for an int n != 0."""
+        res = HbarPoly.__new__(HbarPoly)
+        res._coeffs = {deg + m: c.times_neg_i_power(n, m) for deg, c in self._coeffs.items()}
         return res
 
     def conjugate(self) -> "HbarPoly":

@@ -50,9 +50,10 @@ def _accumulate(table: dict, key, value: HbarPoly) -> None:
 
 class OperatorPoly:
     """Linear combination of operator words with exact hbar-polynomial
-    coefficients, confined to one register."""
+    coefficients, confined to one register. Immutable; the normal form is
+    computed once and kept (a normal form is its own)."""
 
-    __slots__ = ("_terms", "register")
+    __slots__ = ("_terms", "register", "_normal")
 
     def __init__(self, terms: dict[tuple[str, ...], HbarPoly] | None = None):
         clean: dict[tuple[str, ...], HbarPoly] = {}
@@ -71,6 +72,18 @@ class OperatorPoly:
                 clean[word] = coeff
         self._terms = clean
         self.register = reg
+        self._normal = None
+
+    @classmethod
+    def _of_terms(cls, terms: dict[tuple[str, ...], HbarPoly], register: str | None) -> "OperatorPoly":
+        """Wrap a zero-free table of words from `register` without checking
+        them again; like __init__, keep the register only while a nonempty
+        word remains."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out.register = register if any(terms) else None
+        out._normal = None
+        return out
 
     @classmethod
     def zero(cls) -> "OperatorPoly":
@@ -111,10 +124,10 @@ class OperatorPoly:
         out = dict(self._terms)
         for word, coeff in other._terms.items():
             _accumulate(out, word, coeff)
-        return OperatorPoly(out)
+        return OperatorPoly._of_terms(out, self.register or other.register)
 
     def __neg__(self) -> "OperatorPoly":
-        return OperatorPoly({w: -c for w, c in self._terms.items()})
+        return OperatorPoly._of_terms({w: -c for w, c in self._terms.items()}, self.register)
 
     def __sub__(self, other: "OperatorPoly") -> "OperatorPoly":
         return self + (-other)
@@ -125,7 +138,7 @@ class OperatorPoly:
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 _accumulate(out, w1 + w2, c1 * c2)
-        return OperatorPoly(out)
+        return OperatorPoly._of_terms(out, self.register or other.register)
 
     def scale(self, value) -> "OperatorPoly":
         c = HbarPoly.of(value)
@@ -135,30 +148,39 @@ class OperatorPoly:
         """Rewrite every word with all first-register letters A before all
         second-register letters B, using BA = AB - i*hbar.
 
-        Each word is read left to right into a table (i, j) -> coefficient of
-        A^i B^j: a B on the right raises j, and an A on the right is moved
-        past B^j by B^j A = A B^j - j i*hbar B^(j-1), O(d^2) work for a word
-        of length d (Blasiak et al., Am. J. Phys. 75 (2007), arXiv:0704.3116).
+        Each word is read left to right into a table (i, j) -> n of integer
+        counts of A^i B^j: a B on the right raises j, and an A on the right is
+        moved past B^j by B^j A = A B^j - j i*hbar B^(j-1), so it raises i and
+        adds j n to (i, j-1). O(d^2) int work for a word of length d; each
+        entry then takes the word's coefficient times n (-i*hbar)^m once, with
+        m = (d - i - j) / 2 contractions (Blasiak et al., Am. J. Phys. 75
+        (2007), arXiv:0704.3116). The result is kept, so later calls, and
+        __eq__, __hash__ and is_zero, reuse it.
         """
+        if self._normal is not None:
+            return self._normal
         out: dict[tuple[str, ...], HbarPoly] = {}
         first, second = self.register or "XP"  # no register: only the empty word
         for word, coeff in self._terms.items():
-            table = {(0, 0): coeff}
+            table = {(0, 0): 1}
             for letter in word:
-                step: dict[tuple[int, int], HbarPoly] = {}
-                for (i, j), c in table.items():
-                    if _ORDER[letter]:
-                        _accumulate(step, (i, j + 1), c)
-                        continue
-                    _accumulate(step, (i + 1, j), c)
-                    if j:
-                        # c * (-j i hbar): (re + i im)(-j i) = j im - i j re
-                        _accumulate(step, (i, j - 1), HbarPoly(
-                            {d + 1: GaussianRational(j * g.im, -j * g.re) for d, g in c.items()}))
+                step: dict[tuple[int, int], int] = {}
+                if _ORDER[letter]:
+                    for (i, j), n in table.items():
+                        step[i, j + 1] = n
+                else:
+                    for (i, j), n in table.items():
+                        step[i + 1, j] = step.get((i + 1, j), 0) + n
+                        if j:
+                            step[i, j - 1] = step.get((i, j - 1), 0) + j * n
                 table = step
-            for (i, j), c in table.items():
-                _accumulate(out, (first,) * i + (second,) * j, c)
-        return OperatorPoly(out)
+            for (i, j), n in table.items():
+                m = (len(word) - i - j) // 2
+                _accumulate(out, (first,) * i + (second,) * j,
+                            coeff if n == 1 and not m else coeff.times_neg_i_hbar_power(n, m))
+        nf = OperatorPoly._of_terms(out, self.register)
+        nf._normal = self._normal = nf
+        return nf
 
     def adjoint(self) -> "OperatorPoly":
         return OperatorPoly(

@@ -121,3 +121,39 @@ def test_resource_bounds_are_config_errors_before_any_check(flag, value, monkeyp
     monkeypatch.setattr(cli, "run_suite", refuse)
     assert main(["verify", "ladder", flag, value]) == 2
     assert "memory budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["weyl", "--hbar", "1e100"], "hbar"),
+    (["kk", "--hbar", "1e160"], "hbar"),
+    (["fourier", "--hbar", "1e-300"], "hbar"),
+    (["all", "--half-extent", "1e300"], "half_extent"),
+])
+def test_values_a_suite_power_overflows_are_config_errors_before_any_check(
+        argv, name, monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ") and "overflows" in err
+    assert err.count("\n") == 1
+
+
+# bounds: weyl hbar <= 2.38e51 (hbar ** 6), kk 7.46e-155 <= hbar <= 1.34e154
+# (hbar ** 2 and its inverse), fourier hbar >= 3.14e-206 (hbar ** -1.5),
+# half_extent <= 1.34e154 (half_extent ** 2). Just inside them numpy's own
+# arithmetic overflows to inf in places and warns; the run still has to end
+# in a verdict.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--hbar", "2.3e51"],
+    ["kk", "--hbar", "1.3e154"],
+    ["kk", "--hbar", "7.5e-155"],
+    ["fourier", "--hbar", "3.2e-206"],
+    ["fourier", "--half-extent", "1.3e154"],
+])
+def test_values_just_inside_the_power_bounds_end_in_a_verdict(argv, tmp_path):
+    assert main(["verify", *argv, "--format", "json", "--out", str(tmp_path / "r.json")]) in (0, 1)

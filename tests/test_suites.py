@@ -7,6 +7,7 @@ import pytest
 from qpb import suites
 from qpb.errors import ConfigurationError, ResourceBoundError
 from qpb.report import make_report
+from qpb.symbolic import HbarPoly
 from qpb.suites import CITATIONS, KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
 
 EXPECTED_PER_SUITE = {
@@ -148,3 +149,32 @@ def test_default_and_benchmark_configs_are_within_bounds():
     for kwargs in ({}, {"suite": "kk", "n_points": 8192, "half_extent": 128.0},
                    {"suite": "uncertainty", "n_points": 1024}, {"suite": "weyl", "n_trunc": 96}):
         SuiteConfig(**kwargs)
+
+
+def test_power_bounds_apply_to_the_suites_that_raise_the_power():
+    for suite in ("weyl", "all"):
+        with pytest.raises(ConfigurationError, match="hbar"):
+            SuiteConfig(suite=suite, hbar=1e100)
+    for suite in ("kk", "fourier", "poisson", "uncertainty", "ladder"):
+        SuiteConfig(suite=suite, hbar=1e100)
+    # weyl's powers only overflow upward, kk's hbar ** 2 also divides
+    SuiteConfig(suite="weyl", hbar=1e-300)
+    with pytest.raises(ConfigurationError, match="hbar"):
+        SuiteConfig(suite="kk", hbar=1e-200)
+    SuiteConfig(suite="ladder", hbar=1e-300, half_extent=1e300)
+    with pytest.raises(ConfigurationError, match="half_extent"):
+        SuiteConfig(suite="uncertainty", half_extent=1e300)
+
+
+def test_weyl_hbar_degree_is_the_largest_power_weyl_evaluates(monkeypatch):
+    degrees = []
+    evaluate = HbarPoly.evaluate
+
+    def recording(self, hbar_value):
+        degrees.extend(deg for deg, _ in self.items())
+        return evaluate(self, hbar_value)
+
+    monkeypatch.setattr(HbarPoly, "evaluate", recording)
+    for seed in range(3):
+        run_suite(SuiteConfig(suite="weyl", seed=seed))
+    assert max(degrees) == suites.WEYL_HBAR_DEGREE

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpb.errors import ConfigurationError
-from qpb.symbolic.matrices import _letter_bands
+from qpb.symbolic.matrices import _letter_bands, _word_band
 from qpb.symbolic import (
     OperatorPoly,
     commutator_poly,
@@ -149,3 +149,79 @@ def test_letter_bands_follow_hbar_and_are_read_only():
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
+
+
+def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
+    """Each word multiplied out from the identity in a (2k+1)-row band, k the
+    total degree, and weighted into the total in term order: the loop the
+    memoized word bands replaced, kept as a bit-level reference."""
+    letters = _letter_bands(n_trunc, hbar_value, omega)
+    k = p.total_degree()
+    total = np.zeros((2 * k + 1, n_trunc), dtype=np.complex128)
+    for word, coeff in p.terms():
+        m = np.zeros_like(total)
+        m[k] = 1.0
+        for letter in word:
+            up, lo = letters[letter]
+            nxt = np.zeros_like(m)
+            nxt[1:, 1:] = m[:-1, :-1] * up
+            nxt[:-1, :-1] += m[1:, 1:] * lo
+            m = nxt
+        total += coeff.evaluate(hbar_value) * m
+    cols = np.arange(n_trunc)
+    rows = cols - np.arange(-k, k + 1)[:, None]
+    inside = (rows >= 0) & (rows < n_trunc)
+    dense = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    dense[rows[inside], np.broadcast_to(cols, rows.shape)[inside]] = total[inside]
+    return dense
+
+
+@pytest.mark.parametrize("n_trunc", [9, 64, 96])
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_matrix_realize_bit_equal_to_per_word_band_loop(n_trunc, register):
+    rng = np.random.default_rng(43)
+    for hbar_value, omega in ((1.0, 1.0), (0.3, 2.5)):
+        for _ in range(25):
+            a = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+            b = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+            for p in (a, commutator_poly(a, b), (a * b).normal_form()):
+                got = matrix_realize(p, n_trunc, hbar_value, omega)
+                ref = per_word_band_realize(p, n_trunc, hbar_value, omega)
+                # raw bits, so even the signs of zeros agree
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_matrix_realize_cold_and_warm_calls_agree():
+    p = poly_of("3 X P X - 1/2*i*hbar P^2 X + X^4")
+    _word_band.cache_clear()
+    cold = matrix_realize(p, N, 0.7)
+    misses = _word_band.cache_info().misses
+    warm = matrix_realize(p, N, 0.7)
+    assert _word_band.cache_info().misses == misses
+    assert np.array_equal(cold, warm)
+    _word_band.cache_clear()
+
+
+def test_word_bands_follow_hbar_and_omega_and_are_read_only():
+    words = [(), ("X",), ("P", "X", "P"), ("X", "X", "P", "P"), ("H", "T", "T"), ("T", "H")]
+    for hbar_value, omega in ((0.5, 1.0), (2.0, 3.0), (0.5, 1.0)):
+        mats = letter_matrices(16, hbar_value, omega)
+        for word in words:
+            band = _word_band(word, 16, hbar_value, omega)
+            dense = np.eye(16, dtype=np.complex128)
+            for letter in word:
+                dense = dense @ mats[letter]
+            d = len(word)
+            assert band.shape == (2 * d + 1, 16)
+            for s in range(-d, d + 1):
+                # band[d + s, j] = M[j - s, j], zero where j - s is off the matrix
+                expected = np.zeros(16, dtype=np.complex128)
+                diag = np.diagonal(dense, s)
+                if s >= 0:
+                    expected[s:] = diag
+                else:
+                    expected[:s] = diag
+                assert np.allclose(band[d + s], expected, rtol=1e-13, atol=1e-13)
+            assert not band.flags.writeable
+            with pytest.raises(ValueError):
+                band[0, 0] = 0.0

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpb.errors import ConfigurationError, IncompatibleOperandsError, ResourceBoundError
@@ -61,6 +61,149 @@ def one_swap_normal_form(p: OperatorPoly) -> dict:
         stack.append((word[:at] + (word[at + 1], word[at]) + word[at + 2:], coeff))
         stack.append((word[:at] + word[at + 2:], coeff * minus_i_hbar))
     return out
+
+
+def rational_table_normal_form(p: OperatorPoly) -> dict:
+    """The left-to-right reading of normal_form with an (i, j) -> HbarPoly
+    table, every step in exact rational arithmetic: the loop the integer
+    counts replaced, kept as a reference for values and insertion order."""
+    def add(table, key, value):
+        s = table.get(key)
+        s = value if s is None else s + value
+        if s.is_zero():
+            table.pop(key, None)
+        else:
+            table[key] = s
+
+    out: dict = {}
+    first, second = p.register or "XP"
+    for word, coeff in p.terms():
+        table = {(0, 0): coeff}
+        for letter in word:
+            step: dict = {}
+            for (i, j), c in table.items():
+                if ORDER[letter]:
+                    add(step, (i, j + 1), c)
+                    continue
+                add(step, (i + 1, j), c)
+                if j:
+                    # c * (-j i hbar): (re + i im)(-j i) = j im - i j re
+                    add(step, (i, j - 1), HbarPoly(
+                        {d + 1: GaussianRational(j * g.im, -j * g.re) for d, g in c.items()}))
+            table = step
+        for (i, j), c in table.items():
+            add(out, (first,) * i + (second,) * j, c)
+    return out
+
+
+def ordered(terms) -> list:
+    """Words and their coefficients' (degree, value) pairs in insertion order."""
+    return [(word, list(coeff.items())) for word, coeff in terms]
+
+
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_normal_form_equals_rational_table_reading_in_order(register):
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
+        assert ordered(p.normal_form().terms()) == ordered(rational_table_normal_form(p).items())
+
+
+def test_normal_form_is_kept_and_is_its_own():
+    p = X * P * X + P * P * X
+    nf = p.normal_form()
+    assert p.normal_form() is nf
+    assert nf.normal_form() is nf
+    c = commutator_poly(X * X, P)
+    assert c.normal_form() is c
+
+
+def test_results_that_cancel_to_scalars_drop_the_register():
+    H = OperatorPoly.letter("H")
+    for p in (X - X, X * X - X * X + OperatorPoly.one(), (X * P - P * X).normal_form()):
+        assert p.register is None
+        assert (p + H).register == "HT"
+
+
+def test_equal_polys_built_in_different_orders_hash_equal():
+    a = X * P + P * X
+    b = P * X + X * P
+    c = (X + P) * (X + P) - X * X - P * P
+    d = (X * P).scale(2) - I_HBAR
+    for q in (b, c, d):
+        assert q == a
+        assert hash(q) == hash(a)
+    assert len({a, b, c, d}) == 1
+
+
+def frac_ref(g: GaussianRational) -> tuple[Fraction, Fraction]:
+    return g.re, g.im
+
+
+def ref_str(re: Fraction, im: Fraction) -> str:
+    """GaussianRational.__str__ on a (Fraction, Fraction) pair."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{abs(im)}i)"
+
+
+rationals = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**12),
+)
+
+
+def same_float(x: float, y: float) -> bool:
+    return np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(r1=rationals, i1=rationals, r2=rationals, i2=rationals)
+# a numerator above 2**53: rounding it to a float before dividing rounds twice
+@example(r1=Fraction(12358174754309001862, 408747), i1=0, r2=1, i2=0)
+def test_gaussian_rational_matches_fraction_pair_reference(r1, i1, r2, i2):
+    x, y = GaussianRational(r1, i1), GaussianRational.of(r2, i2)
+    r1, i1, r2, i2 = map(Fraction, (r1, i1, r2, i2))
+    assert frac_ref(x) == (r1, i1) and frac_ref(y) == (r2, i2)
+    assert all(type(v) is Fraction for v in frac_ref(x))
+    assert frac_ref(x + y) == (r1 + r2, i1 + i2)
+    assert frac_ref(x - y) == (r1 - r2, i1 - i2)
+    assert frac_ref(x * y) == (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+    assert frac_ref(-x) == (-r1, -i1)
+    assert frac_ref(x.conjugate()) == (r1, -i1)
+    assert x.is_zero() == (r1 == 0 and i1 == 0)
+    assert str(x) == ref_str(r1, i1) and str(x * y) == ref_str(*frac_ref(x * y))
+    z, ref = x.to_complex(), complex(r1, i1)
+    assert same_float(z.real, ref.real) and same_float(z.imag, ref.imag)
+    # lowest terms with a positive denominator
+    assert x._d > 0 and gcd(x._a, x._b, x._d) == 1
+    assert (x * y)._d > 0 and gcd((x * y)._a, (x * y)._b, (x * y)._d) == 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(r1=rationals, i1=rationals, r2=rationals, i2=rationals,
+       n=st.integers(min_value=-50, max_value=50).filter(bool), m=st.integers(0, 9))
+def test_gaussian_rational_equal_values_by_different_routes_hash_equal(r1, i1, r2, i2, n, m):
+    x, y = GaussianRational(r1, i1), GaussianRational(r2, i2)
+    routes = [
+        (x + y) - y,
+        y + (x - y),
+        GaussianRational(Fraction(r1) * 6 / 6, Fraction(i1) * 35 / 35),
+        (x * y + x) - x * y,
+        -(-x),
+        x.conjugate().conjugate(),
+    ]
+    for r in routes:
+        assert r == x and hash(r) == hash(x)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    turned = GaussianRational(n)
+    for _ in range(m):
+        turned = turned * GaussianRational(0, -1)
+    assert x.times_neg_i_power(n, m) == x * turned
+    assert hash(x.times_neg_i_power(n, m)) == hash(x * turned)
 
 
 def test_gaussian_rational_field_operations():
