@@ -6,7 +6,8 @@ of two sizes keep the conjugate transform pair exactly unitary.
 
 The `*_block` functions act on the trailing grid.dim axes of an array, so a
 (k, *grid.shape) block of k states and a single state of grid.shape go
-through the same code; reductions return one value per state.
+through the same code; reductions return one value per state. They build
+one temporary the size of their input and never write into the input.
 """
 
 from __future__ import annotations
@@ -145,13 +146,18 @@ def _state_sum(values: np.ndarray, grid: UniformGrid):
 
 
 def inner_product_block(a_values: np.ndarray, b_values: np.ndarray, grid: UniformGrid):
-    """Riemann inner products <a|b> of the states in two blocks on `grid`."""
-    return _state_sum(np.conj(a_values) * b_values, grid) * grid.spacing**grid.dim
+    """Riemann inner products <a|b> of the states in two blocks of the same
+    shape on `grid`."""
+    products = np.conj(a_values)
+    products *= b_values
+    return _state_sum(products, grid) * grid.spacing**grid.dim
 
 
 def norm_block(values: np.ndarray, grid: UniformGrid):
     """Norm of every state in a block on `grid`."""
-    return np.sqrt(_state_sum(np.abs(values) ** 2, grid) * grid.spacing**grid.dim)
+    mass = np.abs(values)
+    np.square(mass, out=mass)
+    return np.sqrt(_state_sum(mass, grid) * grid.spacing**grid.dim)
 
 
 def normalize_block(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
@@ -181,7 +187,9 @@ def normalize(psi: WaveFunction) -> WaveFunction:
 
 def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
     """Fraction of |psi|^2 within `cells` samples of the boundary along any axis."""
-    total = float(np.sum(np.abs(psi.values) ** 2))
+    mass = np.abs(psi.values)
+    np.square(mass, out=mass)
+    total = float(np.sum(mass))
     if total == 0.0:
         return 0.0
     n = psi.grid.n_points
@@ -193,13 +201,14 @@ def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
         shape = [1] * psi.grid.dim
         shape[axis] = n
         full |= mask.reshape(shape)
-    return float(np.sum(np.abs(psi.values[full]) ** 2)) / total
+    return float(np.sum(mass[full])) / total
 
 
 def boundary_band_fraction(values: np.ndarray, band_divisor: int = 8):
     """Fraction of l2 mass in the outer 1/band_divisor of each side of every
     1D sample row (the last axis); 0 for an all-zero row."""
-    mass = np.abs(np.asarray(values)) ** 2
+    mass = np.abs(np.asarray(values))
+    np.square(mass, out=mass)
     total = np.sum(mass, axis=-1)
     band = max(1, mass.shape[-1] // band_divisor)
     outer = np.sum(mass[..., :band], axis=-1) + np.sum(mass[..., -band:], axis=-1)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BoundaryContaminationError,
@@ -133,18 +132,25 @@ def pv_quadrature(samples: np.ndarray, grid: UniformGrid, z_index: int,
 def pv_quadrature_all(samples: np.ndarray, grid: UniformGrid) -> np.ndarray:
     """Periodic-kernel principal value at every grid point.
 
-    Same staggered sum as pv_quadrature(kernel="periodic"), batched as one
-    matrix-vector product over a zero-copy window of the wrapped samples
-    (row z holds g[(z + m) % n] for the odd offsets m), so the whole-grid
-    oracle comparison stays an independent O(n^2) summation rather than
-    another FFT.
+    Same staggered sum as pv_quadrature(kernel="periodic"), with the same
+    weights, at every z. The odd offsets from an even z reach only the
+    odd-indexed samples, and from an odd z only the even-indexed ones, so
+    each parity class of z is one direct correlation of the weights with a
+    contiguous copy of the matching samples, wrapped once around the
+    circle. The whole-grid oracle comparison stays an independent O(n^2)
+    summation rather than another FFT: np.correlate sums directly.
     """
     g = np.asarray(samples, dtype=np.float64)
     n = grid.n_points
     if g.shape != (n,):
         raise ConfigurationError(f"sample shape {g.shape} does not match grid size {n}")
-    wrapped = sliding_window_view(np.concatenate([g, g[:-1]]), n)
-    return wrapped[:, 1::2] @ _periodic_weights(n)
+    w = _periodic_weights(n)
+    out = np.empty(n)
+    # z = 2i sums g[2i + m], m odd; z = 2i + 1 sums g[2i + 1 + m], m odd
+    odd, even = g[1::2], g[0::2]
+    out[0::2] = np.correlate(np.concatenate([odd, odd[:-1]]), w, mode="valid")
+    out[1::2] = np.correlate(np.concatenate([even[1:], even]), w, mode="valid")
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ Operators act on the trailing grid.dim axes of their input: axis m of the
 grid is array axis m - grid.dim, and coordinates broadcast against those
 axes. `apply_block` therefore takes a (k, *grid.shape) block of k states as
 readily as one state; `apply` calls it on a single WaveFunction.
+
+Kernels never write into their input, which may be a read-only
+`WaveFunction.values`. They scale and combine the fresh arrays they
+allocate themselves (FFT outputs, shifted copies) in place, so applying an
+operator costs the output plus the transform's own temporaries.
 """
 
 from __future__ import annotations
@@ -80,12 +85,17 @@ def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int) -> np
     shape = [1] * grid.dim
     shape[axis] = grid.n_points
     axis -= grid.dim
-    return np.fft.ifft(mult.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+    spectrum = np.fft.fft(values, axis=axis)
+    spectrum *= mult.reshape(shape)
+    return np.fft.ifft(spectrum, axis=axis)
 
 
 def _central_difference(values: np.ndarray, grid: UniformGrid, axis: int) -> np.ndarray:
     axis -= grid.dim
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * grid.spacing)
+    diff = np.roll(values, -1, axis=axis)
+    diff -= np.roll(values, 1, axis=axis)
+    diff /= 2.0 * grid.spacing
+    return diff
 
 
 def apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
@@ -97,13 +107,17 @@ def apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
         if op.kind == "position_multiply":
             return grid.coordinate(op.axis) * values
         if op.kind == "momentum_spectral":
-            return -1j * grid.hbar * _spectral_derivative(values, grid, op.axis)
-        return -1j * grid.hbar * _central_difference(values, grid, op.axis)
+            derivative = _spectral_derivative(values, grid, op.axis)
+        else:
+            derivative = _central_difference(values, grid, op.axis)
+        derivative *= -1j * grid.hbar
+        return derivative
     if representation == "momentum":
         if op.kind == "position_multiply":
             r_grid = reciprocal_grid(grid)
             pos = transform_block(values, grid, "momentum")
-            return transform_block(r_grid.coordinate(op.axis) * pos, r_grid, "position")
+            pos *= r_grid.coordinate(op.axis)
+            return transform_block(pos, r_grid, "position")
         return grid.coordinate(op.axis) * values
     raise RepresentationError(f"operators act on position or momentum states, got {representation!r}")
 
@@ -212,7 +226,8 @@ def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float 
 def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
     """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target.
 
-    P_n psi is computed once per n and reused for the three X_m P_n psi terms.
+    P_n psi is computed once per n and reused for the three X_m P_n psi terms;
+    X_m psi and X_m P_n psi are written into one reused grid-sized buffer.
     """
     if psi.grid.dim != 3:
         raise ConfigurationError("commutator_expectation_matrix needs a 3D state")
@@ -221,16 +236,16 @@ def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") 
     _require_boundary_clean(psi)
     g, v = psi.grid, psi.values
     out = np.zeros((3, 3), dtype=np.complex128)
+    x_buf = np.empty(g.shape, dtype=np.complex128)
     for n in range(3):
         p_n = momentum_operator(g, n, backend=backend)
         p_psi = apply_block(p_n, v, g)
         for m in range(3):
-            x_m = position_operator(g, m)
-            # P_n X_m psi first, so its FFT temporaries never coexist with
-            # X_m P_n psi; the rebinding and the del free each product once
-            # used, so at most five grid-sized arrays are alive at once
-            comm = apply_block(p_n, apply_block(x_m, v, g), g)
-            comm = apply_block(x_m, p_psi, g) - comm
+            # X_m acts in the position representation by multiplication; the
+            # del frees [X_m, P_n] psi before the next P_n X_m psi is made
+            x_m = g.coordinate(m)
+            comm = apply_block(p_n, np.multiply(x_m, v, out=x_buf), g)
+            np.subtract(np.multiply(x_m, p_psi, out=x_buf), comm, out=comm)
             out[m, n] = complex(inner_product_block(v, comm, g)) / (1j * g.hbar)
             del comm
     return out

@@ -69,11 +69,14 @@ def transform_block(values: np.ndarray, grid: UniformGrid, representation: str) 
     axes = tuple(range(-grid.dim, 0))
     if representation == "momentum":
         scale = (grid.spacing * grid.n_points / math.sqrt(2.0 * math.pi * grid.hbar)) ** grid.dim
-        return scale * s * np.fft.ifftn(s * values, axes=axes)
-    if representation == "position":
+        out = np.fft.ifftn(s * values, axes=axes)
+    elif representation == "position":
         scale = (grid.spacing / math.sqrt(2.0 * math.pi * grid.hbar)) ** grid.dim
-        return scale * s * np.fft.fftn(s * values, axes=axes)
-    raise RepresentationError(f"no transform direction for representation {representation!r}")
+        out = np.fft.fftn(s * values, axes=axes)
+    else:
+        raise RepresentationError(f"no transform direction for representation {representation!r}")
+    out *= scale * s
+    return out
 
 
 def to_position(psi_p: WaveFunction, out_grid: UniformGrid | None = None) -> WaveFunction:

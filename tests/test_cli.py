@@ -157,3 +157,15 @@ def test_values_a_suite_power_overflows_are_config_errors_before_any_check(
 ])
 def test_values_just_inside_the_power_bounds_end_in_a_verdict(argv, tmp_path):
     assert main(["verify", *argv, "--format", "json", "--out", str(tmp_path / "r.json")]) in (0, 1)
+
+
+def test_large_scales_end_in_a_verdict(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    # ladder_ht_commutator is relative to hbar, so hbar = 1e5 passes
+    assert main(["verify", "ladder", "--hbar", "1e5", "--format", "json", "--out", out]) == 0
+    # <P> is real to a slack relative to |P psi|, so hbar = 1e50 reaches a verdict
+    assert main(["verify", "uncertainty", "--hbar", "1e50", "--format", "json", "--out", out]) in (0, 1)
+    # at half-extent 1e100 the spacing is 2e97, so the odd Hermite states sample
+    # to zero; that is still reported as a degenerate state, not as a non-real <A>
+    assert main(["verify", "uncertainty", "--half-extent", "1e100"]) == 2
+    assert "cannot normalize" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qpb import kk
 from qpb.errors import BoundaryContaminationError, ConfigurationError, PhaseUndefinedError
@@ -110,6 +111,21 @@ def test_pv_quadrature_all_matches_per_point_sum(n):
         terms = np.abs(w) * np.abs(sig[(z + m) % n])
         bound = 8 * n * eps * float(np.sum(terms))
         assert abs(got[z] - pv_quadrature(sig, grid, z, kernel="periodic")) <= bound
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 1024, 8192])
+def test_pv_quadrature_all_matches_the_windowed_matvec(n):
+    # the previous batched oracle: row z of a zero-copy window of the wrapped
+    # samples holds g[(z + m) % n] at the odd offsets m, times the weights;
+    # the correlation sums the same products in another order, so each point
+    # may differ by the float64 summation bound over its n/2 products
+    grid = _grid(n, 8.0)
+    sig = np.random.default_rng(n).normal(size=n)
+    m = np.arange(1, n, 2)
+    w = (2.0 / n) / np.tan(np.pi * m / n)
+    window = sliding_window_view(np.concatenate([sig, sig[:-1]]), n)[:, 1::2]
+    bound = 8 * n * np.finfo(np.float64).eps * (np.abs(window) @ np.abs(w))
+    assert np.all(np.abs(pv_quadrature_all(sig, grid) - window @ w) <= bound)
 
 
 def test_pv_line_kernel_gap_shrinks_under_refinement():

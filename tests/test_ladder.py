@@ -63,6 +63,21 @@ def test_ht_commutator_on_protected_block():
         assert report.residual < 1e-10
 
 
+@pytest.mark.parametrize("hbar", [1.0, 1e5])
+def test_ht_commutator_is_relative_to_hbar(hbar):
+    # the absolute defect grows with hbar (3.35e-9 at 1e5); relative to it,
+    # it stays at rounding level, while a defect of 1e-9 hbar still fails
+    system = build(N, 1.0, hbar)
+    report = ht_commutator_residual(system)
+    assert report.passed and report.residual < 1e-13
+    # D = delta E_11 adds delta * T_1j to row 1 of [H, T], and max |T_1j| = 1
+    energy = np.array(system.energy)
+    energy[1, 1] += 1e-9 * hbar
+    report = ht_commutator_residual(replace(system, energy=energy))
+    assert not report.passed
+    assert report.residual == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_eigenstate_overlap_unitary_change_of_basis():
     report = eigenstate_overlap_check(build(N), m_max=4)
     assert report.passed

@@ -157,6 +157,18 @@ def test_moments_nan_state_is_precondition_error():
         moments(gaussian(grid, sigma=1.0).with_values(values), x_op)
 
 
+def test_hermiticity_slack_is_relative_to_the_operator_scale():
+    grid = make_uniform_grid(1, 64, 8.0)
+    values = gaussian(grid, sigma=1.0).values
+    with pytest.raises(PreconditionError, match="not real"):
+        moments_module._moments_of(values, 1j * values, grid)
+    # a Hermitian operator at a large scale keeps its relative rounding
+    x_op, p_op = _ops(make_uniform_grid(1, 64, 8.0, hbar=1e50))
+    psi = gaussian(x_op.grid, sigma=1.0)
+    assert moments(psi, p_op).mean_imag_residue > 1e-10
+    assert moments(psi, p_op).spread > 0.0
+
+
 def test_uncertainty_bound_nan_violation_fails(monkeypatch):
     # max(0.0, nan) is 0.0: the clamp used to turn a NaN into a pass
     original = moments_module.pair_moments_block
