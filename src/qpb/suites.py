@@ -137,6 +137,7 @@ N_TRANSFORM_STATES = 100
 N_BOUND_STATES = 500
 N_ORACLE_DRAWS = 200
 ORACLE_TERM_DEGREE = 4
+N_ORACLE_PROBES = 4
 # weyl_matrix_oracle realizes products of two draws, and a degree-d product
 # is only checked on the nonempty protected block of n_trunc - d states
 WEYL_MIN_N_TRUNC = 2 * ORACLE_TERM_DEGREE + 1
@@ -145,9 +146,11 @@ FD_RATIO_FLOOR = 3.5
 # seeded state families stream through the kernels in blocks of this many
 # grid samples: 64 states at 256 points, 16 at 1024
 BLOCK_SAMPLES = 2**14
-# one memory budget bounds the largest arrays a run allocates: a dense
-# n_trunc x n_trunc complex128 matrix (ladder, weyl's oracle), and 64
-# complex128 arrays of n_points samples, more than a 1D check keeps alive
+# one memory budget bounds the size of a single array: a dense n_trunc x
+# n_trunc complex128 matrix (ladder, weyl's oracle), or 64 complex128 arrays
+# of n_points samples, more than a 1D check keeps alive. It bounds neither a
+# run's peak memory (several matrices are alive at once) nor its time
+# (ladder's eigh calls and dense products grow as n_trunc^3)
 MEMORY_BUDGET_BYTES = 64 * 2**20
 MAX_N_TRUNC = math.isqrt(MEMORY_BUDGET_BYTES // 16)
 MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
@@ -461,6 +464,11 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
                        context={"max_degree": 6})
 
     rng = np.random.default_rng(cfg.seed)
+    # Freivalds' check: each identity is compared on seeded complex Gaussian
+    # probes cut to its protected block, O(n_trunc^2) per draw; the probes'
+    # own generator leaves the drawn polynomials as they are
+    probes = np.random.default_rng([cfg.seed, 1]).standard_normal(
+        (cfg.n_trunc, 2 * N_ORACLE_PROBES)).view(np.complex128)
     residuals = []
     for _ in range(N_ORACLE_DRAWS):
         a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
@@ -469,23 +477,28 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
         m_a = matrix_realize(a, cfg.n_trunc, cfg.hbar)
         m_b = matrix_realize(b, cfg.n_trunc, cfg.hbar)
         s = protected_slice(cfg.n_trunc, max(deg, 1))
-        prod = m_a @ m_b
-        direct = (prod - m_b @ m_a)[s, s]
-        symbolic = matrix_realize(commutator_poly(a, b), cfg.n_trunc, cfg.hbar)[s, s]
-        nf = matrix_realize(a.normal_form(), cfg.n_trunc, cfg.hbar)
+        w = probes[s]  # only the protected columns meet nonzero probe rows
+        abw = m_a @ (m_b[:, s] @ w)
+        direct = abw[s] - m_b[s] @ (m_a[:, s] @ w)
+        symbolic = matrix_realize(commutator_poly(a, b), cfg.n_trunc, cfg.hbar)[s, s] @ w
         sa = protected_slice(cfg.n_trunc, max(a.total_degree(), 1))
-        # commutator entries cancel to ~eps of the A@B intermediates, so the
+        aw = m_a[:, sa] @ probes[sa]
+        nf = matrix_realize(a.normal_form(), cfg.n_trunc, cfg.hbar)[sa, sa] @ probes[sa]
+        # commutator entries cancel to ~eps of the A(BW) intermediates, so the
         # defensible scale is the product magnitude, not the block magnitude
         residuals += [
-            float(np.max(np.abs(symbolic - direct))) / (1.0 + float(np.max(np.abs(prod)))),
-            float(np.max(np.abs((nf - m_a)[sa, sa]))) / (1.0 + float(np.max(np.abs(m_a)))),
+            float(np.max(np.abs(symbolic - direct))) / (1.0 + float(np.max(np.abs(abw)))),
+            float(np.max(np.abs(nf - aw[sa]))) / (1.0 + float(np.max(np.abs(aw)))),
         ]
     r_oracle = make_report(
         "weyl_matrix_oracle", CITE_MATRIX_ORACLE, worst(residuals),
         cfg.tol("weyl_matrix_oracle", 1e-10),
         context={"n_draws": N_ORACLE_DRAWS, "n_trunc": cfg.n_trunc,
-                 "max_term_degree": ORACLE_TERM_DEGREE,
-                 "residual_scaling": "relative to intermediate product magnitude"})
+                 "max_term_degree": ORACLE_TERM_DEGREE, "n_probes": N_ORACLE_PROBES,
+                 "residual_scaling": "max |(C W - A B W + B A W)[protected rows]| over "
+                                     "1 + max |A (B W)|, W the probes on the protected "
+                                     "block; normal form N: max |(N W - A W)[protected "
+                                     "rows]| over 1 + max |A W|"})
 
     canonical = [
         "X P - P X",

@@ -90,8 +90,8 @@ def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
     diagonals -d..d. Each word's product is kept in band storage by
     _word_band (memoized, so a word met again costs nothing); its rows are
     weighted into rows k - d .. k + d of a total with band[k + s, j] =
-    M[j - s, j] (k the total degree), in term order, and the total is
-    scattered into the dense matrix once.
+    M[j - s, j] (k the total degree), in term order, and each row of the
+    total is written once through a strided view of the dense diagonal.
 
     Trustworthy only on protected_slice(n_trunc, p.total_degree()); rows and
     columns beyond it carry truncation error.
@@ -103,11 +103,13 @@ def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
         d = len(word)
         total[k - d:k + d + 1] += coeff.evaluate(hbar_value) * _word_band(
             word, n_trunc, hbar_value, omega)
-    cols = np.arange(n_trunc)
-    rows = cols - np.arange(-k, k + 1)[:, None]
-    inside = (rows >= 0) & (rows < n_trunc)
     dense = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    dense[rows[inside], np.broadcast_to(cols, rows.shape)[inside]] = total[inside]
+    flat, step = dense.reshape(-1), n_trunc + 1
+    for s in range(-min(k, n_trunc - 1), min(k, n_trunc - 1) + 1):
+        if s >= 0:  # diagonal s: M[j - s, j] for j = s .. n_trunc - 1
+            flat[s:(n_trunc - s) * n_trunc:step] = total[k + s, s:]
+        else:
+            flat[-s * n_trunc::step] = total[k + s, :n_trunc + s]
     return dense
 
 
