@@ -107,14 +107,18 @@ class WaveFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self._keep(np.asarray(self.values, dtype=np.complex128).copy())
+
+    def _keep(self, v: np.ndarray) -> None:
+        """Check the representation and v, a complex array that no one else
+        holds, then store v read-only as the values."""
         if self.representation not in REPRESENTATIONS:
             raise ConfigurationError(
                 f"representation must be one of {REPRESENTATIONS}, got {self.representation!r}"
             )
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
-            raise ConfigurationError(f"value shape {v.shape} does not match grid shape {self.grid.shape}")
-        v = v.copy()
+        if v.shape != self.grid.shape or v.dtype != np.complex128:
+            raise ConfigurationError(
+                f"values of shape {v.shape} and dtype {v.dtype} do not fit grid shape {self.grid.shape}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -125,6 +129,15 @@ class WaveFunction:
             representation=representation if representation is not None else self.representation,
             values=values,
         )
+
+    def _with_fresh(self, values: np.ndarray) -> "WaveFunction":
+        """with_values without the copy, for a complex array that the caller
+        has just computed and holds no other reference to."""
+        psi = object.__new__(WaveFunction)
+        object.__setattr__(psi, "grid", self.grid)
+        object.__setattr__(psi, "representation", self.representation)
+        psi._keep(values)
+        return psi
 
     def norm(self) -> float:
         return float(norm_block(self.values, self.grid))
@@ -145,12 +158,19 @@ def _state_sum(values: np.ndarray, grid: UniformGrid):
     return np.sum(values.reshape(values.shape[:values.ndim - grid.dim] + (-1,)), axis=-1)
 
 
+def _inner_product_into(work: np.ndarray, a_values: np.ndarray, b_values: np.ndarray,
+                        grid: UniformGrid):
+    """inner_product_block with its conjugate product written into `work`, a
+    complex array of the blocks' shape that the caller lets it overwrite."""
+    np.multiply(np.conjugate(a_values, out=work), b_values, out=work)
+    return _state_sum(work, grid) * grid.spacing**grid.dim
+
+
 def inner_product_block(a_values: np.ndarray, b_values: np.ndarray, grid: UniformGrid):
     """Riemann inner products <a|b> of the states in two blocks of the same
     shape on `grid`."""
-    products = np.conj(a_values)
-    products *= b_values
-    return _state_sum(products, grid) * grid.spacing**grid.dim
+    return _inner_product_into(np.empty(np.shape(a_values), dtype=np.complex128),
+                               a_values, b_values, grid)
 
 
 def norm_block(values: np.ndarray, grid: UniformGrid):

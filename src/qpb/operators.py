@@ -22,8 +22,11 @@ readily as one state; `apply` calls it on a single WaveFunction.
 
 Kernels never write into their input, which may be a read-only
 `WaveFunction.values`. They scale and combine the fresh arrays they
-allocate themselves (FFT outputs, shifted copies) in place, so applying an
-operator costs the output plus the transform's own temporaries.
+allocate themselves (FFT outputs, shifted copies) in place, and run each
+inverse FFT in place in its own spectrum, so a spectral derivative
+allocates one array the size of its input. `apply` and
+`commutator_apply` hand their fresh result to the WaveFunction they return
+without copying it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     IncompatibleOperandsError,
     RepresentationError,
 )
-from .grids import UniformGrid, WaveFunction, boundary_mass, inner_product_block
+from .grids import UniformGrid, WaveFunction, _inner_product_into, boundary_mass
 from .report import CheckReport, make_report
 from .transforms import reciprocal_grid, transform_block
 
@@ -87,7 +90,7 @@ def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int) -> np
     axis -= grid.dim
     spectrum = np.fft.fft(values, axis=axis)
     spectrum *= mult.reshape(shape)
-    return np.fft.ifft(spectrum, axis=axis)
+    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 
 def _central_difference(values: np.ndarray, grid: UniformGrid, axis: int) -> np.ndarray:
@@ -124,7 +127,7 @@ def apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
 
 def apply(op: GridOperator, psi: WaveFunction) -> WaveFunction:
     """Apply op to psi; linear, pure, and representation-aware."""
-    return psi.with_values(apply_block(op, psi.values, psi.grid, psi.representation))
+    return psi._with_fresh(apply_block(op, psi.values, psi.grid, psi.representation))
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> WaveFunction:
@@ -133,7 +136,7 @@ def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> Wav
         raise IncompatibleOperandsError("commutator operands live on incompatible grids")
     ab = apply(a, apply(b, psi))
     ba = apply(b, apply(a, psi))
-    return psi.with_values(ab.values - ba.values)
+    return psi._with_fresh(ab.values - ba.values)
 
 
 def _identity_residual(psi: WaveFunction, comm_values: np.ndarray, threshold: float) -> tuple[float, int]:
@@ -227,7 +230,9 @@ def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") 
     """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target.
 
     P_n psi is computed once per n and reused for the three X_m P_n psi terms;
-    X_m psi and X_m P_n psi are written into one reused grid-sized buffer.
+    X_m psi, X_m P_n psi and the conjugate product of the inner product are
+    written into one reused grid-sized buffer, so at most psi, P_n psi, that
+    buffer and the commutator are alive at once.
     """
     if psi.grid.dim != 3:
         raise ConfigurationError("commutator_expectation_matrix needs a 3D state")
@@ -246,6 +251,6 @@ def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") 
             x_m = g.coordinate(m)
             comm = apply_block(p_n, np.multiply(x_m, v, out=x_buf), g)
             np.subtract(np.multiply(x_m, p_psi, out=x_buf), comm, out=comm)
-            out[m, n] = complex(inner_product_block(v, comm, g)) / (1j * g.hbar)
+            out[m, n] = complex(_inner_product_into(x_buf, v, comm, g)) / (1j * g.hbar)
             del comm
     return out

@@ -566,12 +566,13 @@ def _uncertainty_checks(cfg: SuiteConfig) -> list[CheckReport]:
 
     n3, half3 = _GRID_3D
     grid3 = make_uniform_grid(3, n3, half3, cfg.hbar)
-    aniso = gaussian_3d(grid3, sigmas=(1.0, 1.25, 0.8))
-    iso = gaussian_3d(grid3, sigmas=(1.0, 1.0, 1.0))
+    # each 64^3 state is built right before its check, so only one is alive
     r_vec_bound = vector_uncertainty_check(
-        aniso, mode="bound", tolerance=cfg.tol("uncertainty_vector_bound", 1e-6))
+        gaussian_3d(grid3, sigmas=(1.0, 1.25, 0.8)), mode="bound",
+        tolerance=cfg.tol("uncertainty_vector_bound", 1e-6))
     r_vec_sat = vector_uncertainty_check(
-        iso, mode="saturation", tolerance=cfg.tol("uncertainty_vector_saturation", 1e-6))
+        gaussian_3d(grid3, sigmas=(1.0, 1.0, 1.0)), mode="saturation",
+        tolerance=cfg.tol("uncertainty_vector_saturation", 1e-6))
     return [r_gauss, r_random, r_hermite, r_vec_bound, r_vec_sat]
 
 

@@ -7,8 +7,9 @@ b with b[m-1, m] = sqrt(m):
     H = omega hbar (b + b*) / sqrt(2)  T = (b - b*) / (i sqrt(2) omega)
 
 Both pairs satisfy [A, B] = i hbar on every basis state except the last, so a
-product of words of total degree d is exact on the upper-left
-(n_trunc - d) block; outside it the truncation leaks in.
+product of words of total degree d is exact in the first n_trunc - d rows and
+in the first n_trunc - d columns; the truncation leaks in only where both the
+row and the column lie beyond them.
 """
 
 from __future__ import annotations
@@ -93,8 +94,11 @@ def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
     M[j - s, j] (k the total degree), in term order, and each row of the
     total is written once through a strided view of the dense diagonal.
 
-    Trustworthy only on protected_slice(n_trunc, p.total_degree()); rows and
-    columns beyond it carry truncation error.
+    Entry (i, j) of a word of length d sums paths of d unit steps from i to
+    j, and truncation drops only the paths that reach n_trunc, which needs
+    i + j >= 2 n_trunc - d. So the realization is exact at (i, j) unless both
+    i and j lie beyond protected_slice(n_trunc, p.total_degree()): the rows
+    of that slice are exact, and so are its columns.
     """
     _letter_bands(n_trunc, hbar_value, omega)  # validates hbar_value and omega
     k = p.total_degree()

@@ -64,15 +64,17 @@ def _check_out_grid(computed: UniformGrid, declared: UniformGrid | None) -> Unif
 def transform_block(values: np.ndarray, grid: UniformGrid, representation: str) -> np.ndarray:
     """Map every state of a block on `grid` out of `representation` ("momentum"
     maps to position, "position" to momentum); the output samples live on
-    reciprocal_grid(grid)."""
+    reciprocal_grid(grid). The FFT runs in place in the sign-flipped copy it
+    allocates."""
     s = _checkerboard(grid)
     axes = tuple(range(-grid.dim, 0))
+    out = s * values
     if representation == "momentum":
         scale = (grid.spacing * grid.n_points / math.sqrt(2.0 * math.pi * grid.hbar)) ** grid.dim
-        out = np.fft.ifftn(s * values, axes=axes)
+        np.fft.ifftn(out, axes=axes, out=out)
     elif representation == "position":
         scale = (grid.spacing / math.sqrt(2.0 * math.pi * grid.hbar)) ** grid.dim
-        out = np.fft.fftn(s * values, axes=axes)
+        np.fft.fftn(out, axes=axes, out=out)
     else:
         raise RepresentationError(f"no transform direction for representation {representation!r}")
     out *= scale * s

@@ -4,25 +4,38 @@ The kernels build their outputs in place in arrays they allocate themselves.
 The reference functions below are the previous expressions, written out with
 numpy alone; every comparison is on the raw bytes, so not a single bit of an
 output may move, and every input is frozen and compared byte for byte after
-the call, so no kernel may write into its caller's array.
+the call, so no kernel may write into its caller's array. The ladder letters'
+bands are held to the diagonals of the dense letter matrices the same way.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qpb.grids import boundary_mass, inner_product_block, make_uniform_grid, norm_block
+from qpb.errors import ConfigurationError
+from qpb.grids import (
+    WaveFunction,
+    boundary_mass,
+    inner_product_block,
+    make_uniform_grid,
+    norm_block,
+)
 from qpb.moments import pair_moments_block
 from qpb.operators import (
     GridOperator,
     OPERATOR_KINDS,
+    _spectral_derivative,
+    apply,
     apply_block,
+    commutator_apply,
     commutator_expectation_matrix,
     momentum_operator,
     position_operator,
 )
 from qpb.states import _band_basis, gaussian_3d, random_band_limited
+from qpb.symbolic.matrices import _letter_bands, letter_matrices
 from qpb.transforms import reciprocal_grid, transform_block
 
 
@@ -202,3 +215,74 @@ def test_commutator_matrix_leaves_its_state_and_matches_the_old_loop(backend):
             old[m, n] = complex(_old_inner(v, comm, grid)) / (1j * grid.hbar)
     assert _same_bits(commutator_expectation_matrix(psi, backend=backend), old)
     assert _same_bits(psi.values, kept)
+
+
+@pytest.mark.parametrize("dim,n_points,rows", CASES)
+def test_in_place_inverse_transforms_match_the_out_of_place_expressions(dim, n_points, rows):
+    """The spectral derivative runs its inverse FFT, and transform_block its
+    FFT in either direction, in place in the array it allocated; the
+    references run every FFT out of place."""
+    grid = make_uniform_grid(dim, n_points, 8.0, hbar=0.7)
+    values = _block(grid, rows, 7)
+    kept = np.array(values)
+    for axis in range(dim):
+        assert _same_bits(_spectral_derivative(values, grid, axis),
+                          _old_derivative(values, grid, axis, "momentum_spectral")), axis
+    for representation in ("position", "momentum"):
+        assert _same_bits(transform_block(values, grid, representation),
+                          _old_transform(values, grid, representation)), representation
+    assert _same_bits(values, kept)
+
+
+@pytest.mark.parametrize("dim,n_points", [(1, 256), (3, 16)])
+@pytest.mark.parametrize("representation", ["position", "momentum"])
+def test_apply_returns_fresh_read_only_values(dim, n_points, representation):
+    grid = make_uniform_grid(dim, n_points, 8.0)
+    draws = np.random.default_rng(11).normal(size=(2,) + grid.shape)
+    values = draws[0] + 1j * draws[1]
+    psi = WaveFunction(grid=grid, representation=representation, values=values)
+    results = [apply(GridOperator(kind=kind, axis=axis, grid=grid), psi)
+               for kind in OPERATOR_KINDS for axis in range(dim)]
+    results.append(commutator_apply(position_operator(grid), momentum_operator(grid), psi))
+    for out in results:
+        assert out.grid is grid and out.representation == representation
+        assert out.values.shape == grid.shape and out.values.dtype == np.complex128
+        assert not out.values.flags.writeable
+        assert not np.shares_memory(out.values, psi.values)
+        with pytest.raises(ValueError):
+            out.values[(0,) * dim] = 0.0
+
+
+def test_uncopied_values_get_the_constructor_checks():
+    psi = WaveFunction(grid=make_uniform_grid(1, 64, 8.0), representation="position",
+                       values=np.zeros(64))
+    for bad in (np.zeros(63, dtype=np.complex128), np.zeros(64)):
+        with pytest.raises(ConfigurationError):
+            psi._with_fresh(bad)
+
+
+def test_commutator_matrix_keeps_three_states_alive():
+    """psi, P_n psi, one work buffer and the commutator: three arrays besides
+    the caller's state. An out-of-place inverse FFT, or an inner product with
+    a conjugate product of its own, would make it four."""
+    grid = make_uniform_grid(3, 64, 8.0)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    commutator_expectation_matrix(psi)  # numpy's FFT plan cache fills on the first call
+    tracemalloc.start()
+    try:
+        commutator_expectation_matrix(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * psi.values.nbytes
+
+
+@pytest.mark.parametrize("n_trunc", [2, 9, 64, 257])
+def test_letter_bands_are_the_dense_letter_diagonals(n_trunc):
+    for hbar_value, omega in ((1.0, 1.0), (0.3, 2.0), (1e-3, 0.25), (1e5, 7.5)):
+        bands = _letter_bands(n_trunc, hbar_value, omega)
+        for name, m in letter_matrices(n_trunc, hbar_value, omega).items():
+            up, lo = bands[name]
+            # raw bits, so even the signs of zeros agree
+            assert _same_bits(up, np.diagonal(m, 1)), (name, hbar_value, omega)
+            assert _same_bits(lo, np.diagonal(m, -1)), (name, hbar_value, omega)

@@ -138,6 +138,29 @@ def test_matrix_realize_matches_dense_word_products(n_trunc, register):
         assert np.max(np.abs(got - ref)) <= bound
 
 
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_realization_is_exact_unless_row_and_column_both_leave_the_protected_block(register):
+    """Against a larger truncation, whose upper-left block holds the exact
+    entries: the protected rows and the protected columns agree bit for bit,
+    and every entry that differs has i + j >= 2 n_trunc - degree."""
+    rng = np.random.default_rng(47)
+    for n_trunc in (9, 16, 33):
+        for _ in range(20):
+            a = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+            b = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+            for p in (a, commutator_poly(a, b)):
+                k = max(p.total_degree(), 1)
+                if k >= n_trunc:
+                    continue
+                s = protected_slice(n_trunc, k)
+                small = matrix_realize(p, n_trunc, 0.7, 1.5)
+                exact = matrix_realize(p, n_trunc + 2 * k, 0.7, 1.5)[:n_trunc, :n_trunc]
+                assert np.array_equal(small[s, :], exact[s, :])
+                assert np.array_equal(small[:, s], exact[:, s])
+                i, j = np.nonzero(small != exact)
+                assert np.all(i + j >= 2 * n_trunc - k)
+
+
 def test_letter_bands_follow_hbar_and_are_read_only():
     for hbar_value in (0.5, 2.0, 0.5):
         bands = _letter_bands(16, hbar_value, 1.0)
