@@ -23,7 +23,7 @@ from .errors import (
     IncompatibleOperandsError,
 )
 
-REPRESENTATIONS = ("position", "momentum", "energy", "time")
+REPRESENTATIONS = ("position", "momentum")
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -33,10 +33,6 @@ from .errors import (
 from .grids import UniformGrid
 from .report import CheckReport, make_report, worst
 
-CITE_PV = 'Eq 14, "denotes Cauchy principal values"'
-CITE_KK = 'Eq 14 both lines, "Kramers-Kronig relations ... require that"'
-CITE_PHASE = '§2.3, "∠Ψ(r) − ∠χ(r) = 2πq"'
-
 # Relative boundary amplitude above which the circular transform is meaningless.
 # The canonical decaying test families sit at 1e-3 .. 1e-2 relative amplitude on
 # desk grids, so the guard is deliberately loose; the strict containment level
@@ -157,8 +153,8 @@ def pv_quadrature_all(samples: np.ndarray, grid: UniformGrid) -> np.ndarray:
 class AnalyticSignal:
     """Complex samples declared analytic in one half-plane.
 
-    Use `checked` to reject signals whose samples fail the declared
-    dispersion pair by more than the rejection tolerance.
+    Use `checked` to reject signals whose samples are all zero or fail the
+    declared dispersion pair by more than the rejection tolerance.
     """
 
     grid: UniformGrid
@@ -182,7 +178,9 @@ class AnalyticSignal:
                 rejection_tolerance: float = 1e-2) -> "AnalyticSignal":
         sig = cls(grid=grid, values=values, analyticity_half_plane=analyticity_half_plane)
         rep = kk_residual(sig)
-        if rep.residual > rejection_tolerance:
+        if not rep.valid:
+            raise ConfigurationError("an identically zero signal has no dispersion pair to check")
+        if not rep.residual <= rejection_tolerance:
             raise ConfigurationError(
                 f"signal fails its declared {analyticity_half_plane}-half-plane dispersion pair: "
                 f"residual {rep.residual:.3e} > {rejection_tolerance:g}"
@@ -197,13 +195,14 @@ def kk_residual(f: AnalyticSignal, dc_adjust: bool = True) -> CheckReport:
     |im - H_pm[re]| and |re - H_pm^(-1)[im]| with the signs fixed by the
     declared half-plane. The circular transform fixes conjugates only up to
     an additive constant, so by default each residual is compared after
-    removing its interior mean; the removed offsets are recorded.
+    removing its interior mean; the removed offsets are recorded. An all-zero
+    input is an invalid scenario: residual 0, flagged `degenerate_input`, FAIL.
     """
     v = f.values
     peak = float(np.max(np.abs(v)))
     n = f.grid.n_points
     if peak == 0.0:
-        return make_report("kk_residual", CITE_KK, 0.0, 1e-5,
+        return make_report("kk_residual", 0.0, valid=False,
                            context={"degenerate_input": True, "half_plane": f.analyticity_half_plane})
     rel_edge = _guard_boundary(v, "kk_residual input")
     sign = +1.0 if f.analyticity_half_plane == "lower" else -1.0
@@ -220,7 +219,7 @@ def kk_residual(f: AnalyticSignal, dc_adjust: bool = True) -> CheckReport:
         float(np.max(np.abs(r_re[interior] - off_re))),
     ])
     return make_report(
-        "kk_residual", CITE_KK, residual, 1e-5,
+        "kk_residual", residual,
         context={
             "half_plane": f.analyticity_half_plane,
             "dc_adjusted": dc_adjust,
@@ -280,7 +279,8 @@ def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,
     Two sampled representations describe the same physical state when this
     residual vanishes. If the pointwise difference itself jumps by more than
     pi/2 between adjacent window samples the grid cannot support a trustworthy
-    comparison and the report fails with an insufficient-resolution flag.
+    comparison: the scenario is invalid, so the report fails whatever its
+    residual, with an insufficient-resolution flag.
     """
     mag = np.asarray(mag, dtype=np.float64)
     a = np.asarray(phase_a, dtype=np.float64)
@@ -301,8 +301,8 @@ def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,
     wrapped_step = np.abs((np.diff(d) + math.pi) % (2.0 * math.pi) - math.pi)
     max_jump = float(np.max(wrapped_step[adjacent])) if np.any(adjacent) else 0.0
     under_resolved = max_jump > math.pi / 2.0
-    report = make_report(
-        "phase_equivalence", CITE_PHASE, residual, 1e-6,
+    return make_report(
+        "phase_equivalence", residual, valid=not under_resolved,
         context={
             "window_points": int(np.sum(window)),
             "window_threshold": window_threshold,
@@ -310,9 +310,3 @@ def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,
             "insufficient_resolution": under_resolved,
         },
     )
-    if under_resolved and report.passed:
-        report = CheckReport(
-            check_id=report.check_id, paper_ref=report.paper_ref, residual=report.residual,
-            tolerance=report.tolerance, passed=False, context=report.context,
-        )
-    return report

@@ -27,11 +27,6 @@ from .operators import (
 )
 from .report import CheckReport, make_report, worst
 
-CITE_BOUND = 'Eq 30, "once the commutators between two operators"'
-CITE_SPREAD = 'Eq 31, "Δa = √(⟨A²⟩ − ⟨A⟩²)"'
-CITE_VECTOR = ('Eq 33, "famous uncertainty relationships"; '
-                'Eq 34, "we have taken note of the fact that"')
-
 NORMALIZATION_SLACK = 1e-9
 HERMITICITY_SLACK = 1e-10
 
@@ -109,8 +104,8 @@ def pair_moments_block(values: np.ndarray, grid: UniformGrid, op_a: GridOperator
 
 
 def uncertainty_check(psi: WaveFunction, op_a: GridOperator, op_b: GridOperator,
-                      check_id: str = "uncertainty_bound", tolerance: float = 1e-8,
-                      paper_ref: str = CITE_BOUND) -> CheckReport:
+                      check_id: str = "uncertainty_random_bound",
+                      tolerance: float | None = None) -> CheckReport:
     """One-sided check of spread_a * spread_b >= |<[A, B]>| / 2.
 
     The residual is the bound violation clamped at zero, so any positive
@@ -118,22 +113,21 @@ def uncertainty_check(psi: WaveFunction, op_a: GridOperator, op_b: GridOperator,
     """
     data = pair_moments_block(psi.values, psi.grid, op_a, op_b, psi.representation)
     residual = worst([0.0, data["half_commutator_magnitude"] - data["product"]])
-    return make_report(check_id, paper_ref, residual, tolerance, context=data)
+    return make_report(check_id, residual, tolerance, context=data)
 
 
 def saturation_check(psi: WaveFunction, op_a: GridOperator, op_b: GridOperator,
-                     target_product: float, check_id: str = "uncertainty_saturation",
-                     tolerance: float = 1e-8, paper_ref: str = CITE_SPREAD) -> CheckReport:
+                     target_product: float, check_id: str = "uncertainty_gaussian_saturation",
+                     tolerance: float | None = None) -> CheckReport:
     """Two-sided check that the spread product equals a known closed form."""
     data = pair_moments_block(psi.values, psi.grid, op_a, op_b, psi.representation)
     data["target_product"] = target_product
     residual = abs(data["product"] - target_product)
-    return make_report(check_id, paper_ref, residual, tolerance, context=data)
+    return make_report(check_id, residual, tolerance, context=data)
 
 
 def vector_uncertainty_check(psi: WaveFunction, mode: str = "bound",
-                             check_id: str | None = None, tolerance: float = 1e-6,
-                             paper_ref: str = CITE_VECTOR) -> CheckReport:
+                             tolerance: float | None = None) -> CheckReport:
     """Componentwise spread products of a 3D state against dim * hbar / 2.
 
     mode="bound" clamps the violation of sum_m spread(X_m) spread(P_m) >=
@@ -153,9 +147,7 @@ def vector_uncertainty_check(psi: WaveFunction, mode: str = "bound",
     total = float(np.sum(products))
     target = 3.0 * psi.grid.hbar / 2.0
     residual = worst([0.0, target - total]) if mode == "bound" else abs(total - target)
-    if check_id is None:
-        check_id = "uncertainty_vector_bound" if mode == "bound" else "uncertainty_vector_saturation"
-    return make_report(check_id, paper_ref, residual, tolerance, context={
+    return make_report(f"uncertainty_vector_{mode}", residual, tolerance, context={
         "axis_products": products,
         "sum_of_products": total,
         "target": target,

@@ -18,9 +18,6 @@ import numpy as np
 from .errors import ConfigurationError, ResourceBoundError
 from .grids import UniformGrid, WaveFunction, make_uniform_grid
 from .kk import (
-    CITE_KK,
-    CITE_PHASE,
-    CITE_PV,
     AnalyticSignal,
     hilbert_spectral,
     kk_residual,
@@ -31,10 +28,6 @@ from .kk import (
     pv_quadrature_all,
 )
 from .ladder import (
-    CITE_ALGEBRA,
-    CITE_HT,
-    CITE_OVERLAP,
-    CITE_SCALING,
     build,
     check_ladder_algebra,
     eigenstate_overlap_check,
@@ -42,16 +35,11 @@ from .ladder import (
     scaling_exact_check,
 )
 from .moments import (
-    CITE_BOUND,
-    CITE_SPREAD,
-    CITE_VECTOR,
     pair_moments_block,
     saturation_check,
     vector_uncertainty_check,
 )
 from .operators import (
-    CITE_COROLLARY,
-    CITE_POISSON,
     commutator_apply,
     commutator_expectation_matrix,
     corollary_residual_momentum,
@@ -59,7 +47,7 @@ from .operators import (
     poisson_residual,
     position_operator,
 )
-from .report import CheckReport, make_report, worst
+from .report import CHECKS, CheckReport, make_report, worst
 from .states import (
     conjugate_gaussian_pair,
     gaussian,
@@ -79,7 +67,6 @@ from .symbolic import (
     taylor_operator,
 )
 from .transforms import (
-    CITE_PARSEVAL,
     parseval_block,
     reciprocal_grid,
     to_momentum,
@@ -87,47 +74,7 @@ from .transforms import (
     transform_block,
 )
 
-CITE_ROUND_TRIP = 'Eq 7, "having the inverse transform given by"'
-CITE_DIMENSIONAL = 'Eq 6, "we may define the three-dimensional Fourier transform"'
-CITE_KRONECKER = 'Eq 22, "with δ_mn being Kronecker delta"'
-CITE_WEYL_POISSON = 'Eq 20, "the Poisson bracket as"'
-CITE_WEYL_SYM = 'Eq 25, "S{AB} = ½(AB + BA)"'
-CITE_WEYL_CENTRAL = 'Eq 27–28, "which in turn results in"'
-CITE_MATRIX_ORACLE = 'invented — artifact plumbing (symbolic-to-matrix cross-validation)'
-CITE_PARSER = 'invented — artifact plumbing (grammar round-trip safety)'
-
-CITATIONS = {
-    "fourier_round_trip": CITE_ROUND_TRIP,
-    "fourier_parseval": CITE_PARSEVAL,
-    "fourier_hbar_scaling": CITE_DIMENSIONAL,
-    "fourier_tensor_factorization": CITE_DIMENSIONAL,
-    "poisson_residual": CITE_POISSON,
-    "poisson_fd_convergence": CITE_POISSON,
-    "corollary_residual_momentum": CITE_COROLLARY,
-    "tensor_kronecker": CITE_KRONECKER,
-    "kk_oracle_agreement": CITE_PV,
-    "kk_refinement_monotone": CITE_PV,
-    "kk_residual": CITE_KK,
-    "kk_wrong_half_plane": CITE_KK,
-    "phase_equivalence": CITE_PHASE,
-    "weyl_poisson_exact": CITE_WEYL_POISSON,
-    "weyl_sxp_normal_form": CITE_WEYL_SYM,
-    "weyl_centrality": CITE_WEYL_CENTRAL,
-    "weyl_adjoint_symmetry": CITE_WEYL_SYM,
-    "weyl_matrix_oracle": CITE_MATRIX_ORACLE,
-    "weyl_parser_round_trip": CITE_PARSER,
-    "uncertainty_gaussian_saturation": CITE_BOUND,
-    "uncertainty_random_bound": CITE_BOUND,
-    "uncertainty_hermite_product": CITE_SPREAD,
-    "uncertainty_vector_bound": CITE_VECTOR,
-    "uncertainty_vector_saturation": CITE_VECTOR,
-    "ladder_algebra": CITE_ALGEBRA,
-    "ladder_ht_commutator": CITE_HT,
-    "ladder_eigenstate_overlap": CITE_OVERLAP,
-    "ladder_scaling_exact": CITE_SCALING,
-}
-
-KNOWN_CHECK_IDS = frozenset(CITATIONS)
+KNOWN_CHECK_IDS = frozenset(CHECKS)
 
 _GRID_DEFAULTS = {"kk": (4096, 64.0)}
 _GRID_FALLBACK = (256, 8.0)
@@ -230,8 +177,8 @@ class SuiteConfig:
         half = self.half_extent if self.half_extent is not None else half_default
         return n, half
 
-    def tol(self, check_id: str, default: float) -> float:
-        return float(self.tolerances.get(check_id, default))
+    def tol(self, check_id: str) -> float:
+        return float(self.tolerances.get(check_id, CHECKS[check_id].tolerance))
 
 
 def _block_sizes(n_states: int, grid: UniformGrid) -> list[int]:
@@ -244,25 +191,18 @@ def _block_sizes(n_states: int, grid: UniformGrid) -> list[int]:
 def _fold(check_id: str, reports: list[CheckReport], tolerance: float,
           extra: dict | None = None) -> CheckReport:
     """Aggregate per-case reports for one check: worst residual wins (a NaN in
-    any case makes it NaN, so the fold fails), and a case that failed
-    semantically despite a small residual keeps the fold red."""
-    residual = worst([r.residual for r in reports])
-    forced_fail = any((not r.passed) and r.residual <= r.tolerance for r in reports)
+    any case makes it NaN, so the fold fails), and one invalid case makes the
+    fold invalid, so it fails at any tolerance."""
     context = {"n_cases": len(reports)}
     if extra:
         context.update(extra)
-    rep = make_report(check_id, reports[0].paper_ref, residual, tolerance, context=context)
-    if forced_fail and rep.passed:
-        rep = CheckReport(check_id=rep.check_id, paper_ref=rep.paper_ref,
-                          residual=rep.residual, tolerance=rep.tolerance,
-                          passed=False, context=rep.context)
-    return rep
+    return make_report(check_id, worst([r.residual for r in reports]), tolerance,
+                       context=context, valid=all(r.valid for r in reports))
 
 
-def _exact(check_id: str, paper_ref: str, ok: bool, tolerance: float,
+def _exact(check_id: str, ok: bool, tolerance: float,
            context: dict | None = None) -> CheckReport:
-    return make_report(check_id, paper_ref, 0.0 if ok else 1.0, tolerance,
-                       context=context or {})
+    return make_report(check_id, 0.0 if ok else 1.0, tolerance, context=context)
 
 
 def _fourier_checks(cfg: SuiteConfig) -> list[CheckReport]:
@@ -278,12 +218,12 @@ def _fourier_checks(cfg: SuiteConfig) -> list[CheckReport]:
         round_trip_defects.append(np.max(np.abs(back - block), axis=-1))
         parseval_residuals.append(parseval_block(block, momentum, grid)["residual"])
     r_round = make_report(
-        "fourier_round_trip", CITE_ROUND_TRIP, worst(np.concatenate(round_trip_defects)),
-        cfg.tol("fourier_round_trip", 1e-12),
+        "fourier_round_trip", worst(np.concatenate(round_trip_defects)),
+        cfg.tol("fourier_round_trip"),
         context={"n_states": N_TRANSFORM_STATES, "n_points": n, "half_extent": half})
     r_parseval = make_report(
-        "fourier_parseval", CITE_PARSEVAL, worst(np.concatenate(parseval_residuals)),
-        cfg.tol("fourier_parseval", 1e-12), context={"n_cases": N_TRANSFORM_STATES})
+        "fourier_parseval", worst(np.concatenate(parseval_residuals)),
+        cfg.tol("fourier_parseval"), context={"n_cases": N_TRANSFORM_STATES})
 
     # the kernel depends on p/hbar only, so doubling hbar together with the
     # momentum extent maps onto the same position grid; renormalizing the
@@ -296,8 +236,7 @@ def _fourier_checks(cfg: SuiteConfig) -> list[CheckReport]:
     scaling_defect = float(np.max(np.abs(
         to_position(rescaled).values - to_position(base).values)))
     r_scaling = make_report(
-        "fourier_hbar_scaling", CITE_DIMENSIONAL, scaling_defect,
-        cfg.tol("fourier_hbar_scaling", 1e-10),
+        "fourier_hbar_scaling", scaling_defect, cfg.tol("fourier_hbar_scaling"),
         context={"n_points": n, "extent_factor": 2.0, "hbar_factor": 2.0,
                  "renormalization": "samples divided by sqrt(2)"})
 
@@ -314,9 +253,8 @@ def _fourier_checks(cfg: SuiteConfig) -> list[CheckReport]:
     transformed = to_momentum(product_state)
     factored = np.einsum("i,j,k->ijk", *(to_momentum(p).values for p in parts))
     r_tensor = make_report(
-        "fourier_tensor_factorization", CITE_DIMENSIONAL,
-        float(np.max(np.abs(transformed.values - factored))),
-        cfg.tol("fourier_tensor_factorization", 1e-12),
+        "fourier_tensor_factorization", float(np.max(np.abs(transformed.values - factored))),
+        cfg.tol("fourier_tensor_factorization"),
         context={"n_points": 32, "half_extent": 8.0})
     return [r_round, r_parseval, r_scaling, r_tensor]
 
@@ -327,7 +265,7 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     labels = ["gaussian"] + [f"hermite_{k}" for k in (1, 2, 3, 4)]
     states = [gaussian(grid, sigma=1.0)] + [oscillator_eigenstate(grid, k) for k in (1, 2, 3, 4)]
     spectral = [poisson_residual(s) for s in states]
-    r_poisson = _fold("poisson_residual", spectral, cfg.tol("poisson_residual", 1e-6),
+    r_poisson = _fold("poisson_residual", spectral, cfg.tol("poisson_residual"),
                       extra={"states": labels,
                              "residuals": [r.residual for r in spectral],
                              "backend": "spectral"})
@@ -339,16 +277,15 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     resids = [r.residual for r in fd_reports]
     ratios = [resids[0] / resids[1], resids[1] / resids[2]]
     r_fd = make_report(
-        "poisson_fd_convergence", fd_reports[0].paper_ref,
-        worst([0.0] + [FD_RATIO_FLOOR - r for r in ratios]),
-        cfg.tol("poisson_fd_convergence", 0.0),
+        "poisson_fd_convergence", worst([0.0] + [FD_RATIO_FLOOR - r for r in ratios]),
+        cfg.tol("poisson_fd_convergence"),
         context={"grid_sizes": [n, 2 * n, 4 * n], "residuals": resids,
                  "ratios": ratios, "required_ratio": FD_RATIO_FLOOR})
 
     images = [to_momentum(states[0]), to_momentum(states[1])]
     corollary = [corollary_residual_momentum(g) for g in images]
     r_corollary = _fold("corollary_residual_momentum", corollary,
-                        cfg.tol("corollary_residual_momentum", 1e-6),
+                        cfg.tol("corollary_residual_momentum"),
                         extra={"states": ["gaussian image", "hermite_1 image"]})
 
     n3, half3 = _GRID_3D
@@ -362,8 +299,7 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     interior = np.abs(psi3.values) > 1e-6 * peak
     pointwise = float(np.max(np.abs(cross.values)[interior])) / peak
     r_tensor = make_report(
-        "tensor_kronecker", CITE_KRONECKER, worst([matrix_defect, pointwise]),
-        cfg.tol("tensor_kronecker", 1e-6),
+        "tensor_kronecker", worst([matrix_defect, pointwise]), cfg.tol("tensor_kronecker"),
         context={"n_points": n3, "half_extent": half3,
                  "matrix_defect": matrix_defect,
                  "cross_commutator_interior_max": pointwise})
@@ -381,7 +317,7 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     gaps = [float(np.max(np.abs(hilbert_spectral(s, grid) - pv_quadrature_all(s, grid))))
             for s in signals]
     r_oracle = make_report(
-        "kk_oracle_agreement", CITE_PV, worst(gaps), cfg.tol("kk_oracle_agreement", 1e-5),
+        "kk_oracle_agreement", worst(gaps), cfg.tol("kk_oracle_agreement"),
         context={"n_points": n, "half_extent": half,
                  "signals": ["pole a=0.5", "pole a=1", "pole a=2", "zero-mean packet"],
                  "gaps": gaps})
@@ -397,13 +333,13 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
             [abs(pv_quadrature(re, gi, j, kernel="line") - h[j]) for j in probes]))
     growth = worst([0.0, line_gaps[1] - line_gaps[0], line_gaps[2] - line_gaps[1]])
     r_refine = make_report(
-        "kk_refinement_monotone", CITE_PV, growth, cfg.tol("kk_refinement_monotone", 0.0),
+        "kk_refinement_monotone", growth, cfg.tol("kk_refinement_monotone"),
         context={"scales": [1, 2, 4], "line_kernel_gaps": line_gaps})
 
     a_values = [0.5, 1.0, 2.0]
     pairs = [AnalyticSignal(grid, periodized_pole(grid, a), "lower") for a in a_values]
     right = [kk_residual(sig) for sig in pairs]
-    r_kk = _fold("kk_residual", right, cfg.tol("kk_residual", 1e-5),
+    r_kk = _fold("kk_residual", right, cfg.tol("kk_residual"),
                  extra={"family": "periodized pole, lower half-plane",
                         "a_values": a_values,
                         "residuals": [r.residual for r in right]})
@@ -411,9 +347,8 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     wrong = [kk_residual(AnalyticSignal(grid, sig.values, "upper")) for sig in pairs]
     wrong_resids = [r.residual for r in wrong]
     r_wrong = make_report(
-        "kk_wrong_half_plane", CITE_KK,
-        worst([0.0] + [WRONG_PLANE_FLOOR - r for r in wrong_resids]),
-        cfg.tol("kk_wrong_half_plane", 0.0),
+        "kk_wrong_half_plane", worst([0.0] + [WRONG_PLANE_FLOOR - r for r in wrong_resids]),
+        cfg.tol("kk_wrong_half_plane"),
         context={"wrong_declaration_residuals": wrong_resids,
                  "required_floor": WRONG_PLANE_FLOOR})
 
@@ -422,7 +357,7 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     rep = phase_equivalence(np.abs(chi_closed.values),
                             np.angle(chi_transform.values),
                             np.angle(chi_closed.values))
-    r_phase = _fold("phase_equivalence", [rep], cfg.tol("phase_equivalence", 1e-6),
+    r_phase = _fold("phase_equivalence", [rep], cfg.tol("phase_equivalence"),
                     extra={"window_points": rep.context["window_points"]})
     return [r_oracle, r_refine, r_kk, r_wrong, r_phase]
 
@@ -432,8 +367,7 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
     x, p = poly_of("X"), poly_of("P")
 
     ok_poisson = (commutator_poly(x, p) == i_hbar) and (poly_of("[X, P]") == i_hbar)
-    r_poisson = _exact("weyl_poisson_exact", CITE_WEYL_POISSON, ok_poisson,
-                       cfg.tol("weyl_poisson_exact", 0.0))
+    r_poisson = _exact("weyl_poisson_exact", ok_poisson, cfg.tol("weyl_poisson_exact"))
 
     ok_sym = (
         poly_of("S{X P}") == poly_of("1/2 X P + 1/2 P X")
@@ -442,16 +376,14 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
         and taylor_operator({(1, 1): 1}) == poly_of("S{X P}")
         and taylor_operator({(2, 0): 1, (0, 2): 1}) == poly_of("X^2 + P^2")
     )
-    r_sym = _exact("weyl_sxp_normal_form", CITE_WEYL_SYM, ok_sym,
-                   cfg.tol("weyl_sxp_normal_form", 0.0))
+    r_sym = _exact("weyl_sxp_normal_form", ok_sym, cfg.tol("weyl_sxp_normal_form"))
 
     c = commutator_poly(x, p)
     ok_central = (c == i_hbar
                   and commutator_poly(c, x).is_zero()
                   and commutator_poly(c, p).is_zero()
                   and commutator_poly(c, poly_of("S{X^2 P^2}")).is_zero())
-    r_central = _exact("weyl_centrality", CITE_WEYL_CENTRAL, ok_central,
-                       cfg.tol("weyl_centrality", 0.0))
+    r_central = _exact("weyl_centrality", ok_central, cfg.tol("weyl_centrality"))
 
     ok_adjoint = True
     for total in range(0, 7):
@@ -459,8 +391,7 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
             word = ("X",) * n_x + ("P",) * (total - n_x)
             s = weyl_symmetrize(word)
             ok_adjoint = ok_adjoint and (s.adjoint() == s)
-    r_adjoint = _exact("weyl_adjoint_symmetry", CITE_WEYL_SYM, ok_adjoint,
-                       cfg.tol("weyl_adjoint_symmetry", 0.0),
+    r_adjoint = _exact("weyl_adjoint_symmetry", ok_adjoint, cfg.tol("weyl_adjoint_symmetry"),
                        context={"max_degree": 6})
 
     rng = np.random.default_rng(cfg.seed)
@@ -491,8 +422,7 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
             float(np.max(np.abs(nf - aw[sa]))) / (1.0 + float(np.max(np.abs(aw)))),
         ]
     r_oracle = make_report(
-        "weyl_matrix_oracle", CITE_MATRIX_ORACLE, worst(residuals),
-        cfg.tol("weyl_matrix_oracle", 1e-10),
+        "weyl_matrix_oracle", worst(residuals), cfg.tol("weyl_matrix_oracle"),
         context={"n_draws": N_ORACLE_DRAWS, "n_trunc": cfg.n_trunc,
                  "max_term_degree": ORACLE_TERM_DEGREE, "n_probes": N_ORACLE_PROBES,
                  "residual_scaling": "max |(C W - A B W + B A W)[protected rows]| over "
@@ -515,8 +445,7 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
         ok_parser = ok_parser and print_expression(ast) == text
         ok_parser = ok_parser and parse_expression(print_expression(ast)) == ast
     ok_parser = ok_parser and poly_of("S{H T} - 1/2 H T - 1/2 T H").is_zero()
-    r_parser = _exact("weyl_parser_round_trip", CITE_PARSER, ok_parser,
-                      cfg.tol("weyl_parser_round_trip", 0.0),
+    r_parser = _exact("weyl_parser_round_trip", ok_parser, cfg.tol("weyl_parser_round_trip"),
                       context={"n_cases": len(canonical)})
     return [r_poisson, r_sym, r_central, r_adjoint, r_oracle, r_parser]
 
@@ -529,14 +458,10 @@ def _uncertainty_checks(cfg: SuiteConfig) -> list[CheckReport]:
     target = cfg.hbar / 2.0
 
     sigmas = [0.75, 1.0, 1.5]
-    gauss_reports = [
-        saturation_check(gaussian(grid, sigma=s), x_op, p_op, target,
-                         check_id="uncertainty_gaussian_saturation",
-                         paper_ref=CITE_BOUND)
-        for s in sigmas
-    ]
+    gauss_reports = [saturation_check(gaussian(grid, sigma=s), x_op, p_op, target)
+                     for s in sigmas]
     r_gauss = _fold("uncertainty_gaussian_saturation", gauss_reports,
-                    cfg.tol("uncertainty_gaussian_saturation", 1e-8),
+                    cfg.tol("uncertainty_gaussian_saturation"),
                     extra={"sigmas": sigmas, "target_product": target})
 
     rng = np.random.default_rng(cfg.seed)
@@ -546,21 +471,19 @@ def _uncertainty_checks(cfg: SuiteConfig) -> list[CheckReport]:
         residuals.append(np.maximum(0.0, data["half_commutator_magnitude"] - data["product"]))
         products.append(data["product"])
     r_random = make_report(
-        "uncertainty_random_bound", CITE_BOUND, worst(np.concatenate(residuals)),
-        cfg.tol("uncertainty_random_bound", 1e-8),
+        "uncertainty_random_bound", worst(np.concatenate(residuals)),
+        cfg.tol("uncertainty_random_bound"),
         context={"n_states": N_BOUND_STATES, "min_product": float(np.min(np.concatenate(products))),
                  "bound": target})
 
     hermites = [1, 2, 3]
     hermite_reports = [
-        saturation_check(oscillator_eigenstate(grid, k), x_op, p_op,
-                         (k + 0.5) * cfg.hbar,
-                         check_id="uncertainty_hermite_product",
-                         paper_ref=CITE_SPREAD, tolerance=1e-6)
+        saturation_check(oscillator_eigenstate(grid, k), x_op, p_op, (k + 0.5) * cfg.hbar,
+                         check_id="uncertainty_hermite_product")
         for k in hermites
     ]
     r_hermite = _fold("uncertainty_hermite_product", hermite_reports,
-                      cfg.tol("uncertainty_hermite_product", 1e-6),
+                      cfg.tol("uncertainty_hermite_product"),
                       extra={"levels": hermites,
                              "products": [r.context["product"] for r in hermite_reports]})
 
@@ -569,10 +492,10 @@ def _uncertainty_checks(cfg: SuiteConfig) -> list[CheckReport]:
     # each 64^3 state is built right before its check, so only one is alive
     r_vec_bound = vector_uncertainty_check(
         gaussian_3d(grid3, sigmas=(1.0, 1.25, 0.8)), mode="bound",
-        tolerance=cfg.tol("uncertainty_vector_bound", 1e-6))
+        tolerance=cfg.tol("uncertainty_vector_bound"))
     r_vec_sat = vector_uncertainty_check(
         gaussian_3d(grid3, sigmas=(1.0, 1.0, 1.0)), mode="saturation",
-        tolerance=cfg.tol("uncertainty_vector_saturation", 1e-6))
+        tolerance=cfg.tol("uncertainty_vector_saturation"))
     return [r_gauss, r_random, r_hermite, r_vec_bound, r_vec_sat]
 
 
@@ -586,20 +509,18 @@ def _ladder_checks(cfg: SuiteConfig) -> list[CheckReport]:
             system = build(cfg.n_trunc, omega, hbar)
             algebra_reports.append(check_ladder_algebra(system))
             ht_reports.append(ht_commutator_residual(system))
-    r_algebra = _fold("ladder_algebra", algebra_reports,
-                      cfg.tol("ladder_algebra", 1e-12),
+    r_algebra = _fold("ladder_algebra", algebra_reports, cfg.tol("ladder_algebra"),
                       extra={"omegas": omegas, "hbars": hbars, "n_trunc": cfg.n_trunc})
-    r_ht = _fold("ladder_ht_commutator", ht_reports,
-                 cfg.tol("ladder_ht_commutator", 1e-10),
+    r_ht = _fold("ladder_ht_commutator", ht_reports, cfg.tol("ladder_ht_commutator"),
                  extra={"omegas": omegas, "hbars": hbars, "n_trunc": cfg.n_trunc})
 
     system = build(cfg.n_trunc, cfg.omega, cfg.hbar)
     r_overlap = _fold("ladder_eigenstate_overlap",
                       [eigenstate_overlap_check(system, m_max=4)],
-                      cfg.tol("ladder_eigenstate_overlap", 1e-10))
+                      cfg.tol("ladder_eigenstate_overlap"))
     r_scaling = _fold("ladder_scaling_exact",
                       [scaling_exact_check(cfg.n_trunc, cfg.hbar)],
-                      cfg.tol("ladder_scaling_exact", 0.0))
+                      cfg.tol("ladder_scaling_exact"))
     return [r_algebra, r_ht, r_overlap, r_scaling]
 
 

@@ -29,8 +29,6 @@ from .errors import ConfigurationError, PreconditionError, RepresentationError
 from .grids import UniformGrid, WaveFunction, boundary_band_fraction, norm_block
 from .report import CheckReport, make_report, worst
 
-CITE_PARSEVAL = 'invented — artifact plumbing (supports Def 9, "identical probablity density functions")'
-
 
 def reciprocal_grid(grid: UniformGrid) -> UniformGrid:
     """Output grid of the transform: spacing_out = 2 pi hbar / (n * spacing_in)."""
@@ -103,9 +101,7 @@ def transform(psi: WaveFunction, out_grid: UniformGrid | None = None) -> WaveFun
     """Apply whichever direction matches the input representation."""
     if psi.representation == "momentum":
         return to_position(psi, out_grid)
-    if psi.representation == "position":
-        return to_momentum(psi, out_grid)
-    raise RepresentationError(f"no transform direction for representation {psi.representation!r}")
+    return to_momentum(psi, out_grid)
 
 
 def parseval_block(values: np.ndarray, transformed: np.ndarray, grid: UniformGrid,
@@ -143,10 +139,7 @@ def check_parseval(psi: WaveFunction, band_divisor: int = 8) -> CheckReport:
     out = transform_block(psi.values, psi.grid, psi.representation)
     terms = parseval_block(psi.values, out, psi.grid, band_divisor)
     return make_report(
-        check_id="fourier_parseval",
-        paper_ref=CITE_PARSEVAL,
-        residual=terms.pop("residual"),
-        tolerance=1e-12,
+        "fourier_parseval", terms.pop("residual"),
         context={
             **terms,
             "band_divisor": band_divisor,

@@ -72,8 +72,10 @@ def test_wavefunction_shape_and_representation_validation():
     grid = make_uniform_grid(1, 8, 1.0)
     with pytest.raises(ConfigurationError):
         WaveFunction(grid=grid, representation="position", values=np.ones(4))
-    with pytest.raises(ConfigurationError):
-        WaveFunction(grid=grid, representation="wrong", values=np.ones(8))
+    # the ladder's energy and time operators are matrices, never grid states
+    for representation in ("wrong", "energy", "time"):
+        with pytest.raises(ConfigurationError):
+            WaveFunction(grid=grid, representation=representation, values=np.ones(8))
 
 
 def test_inner_product_conjugate_symmetry():

@@ -147,6 +147,14 @@ def test_pv_unknown_kernel_rejected():
         pv_quadrature(np.zeros(256), grid, 0, kernel="midpoint")
 
 
+def test_kk_residual_zero_input_flags_degenerate():
+    grid = _grid(64, 4.0)
+    report = kk_residual(AnalyticSignal(grid, np.zeros(64), "lower"))
+    assert report.residual == 0.0
+    assert not report.passed
+    assert report.context["degenerate_input"] is True
+
+
 def test_kk_residual_periodized_pole_both_planes():
     # 4096 points push the spectral tail of the a=0.5 member below Nyquist
     grid = _grid(4096, 64.0)
@@ -181,6 +189,8 @@ def test_analytic_signal_checked_rejects_inconsistent_declaration():
     grid = _grid(2048, 64.0)
     with pytest.raises(ConfigurationError):
         AnalyticSignal.checked(grid, periodized_pole(grid, 1.0, "lower"), "upper")
+    with pytest.raises(ConfigurationError, match="zero"):
+        AnalyticSignal.checked(grid, np.zeros(2048), "lower")
     ok = AnalyticSignal.checked(grid, periodized_pole(grid, 1.0, "lower"), "lower")
     assert ok.analyticity_half_plane == "lower"
 

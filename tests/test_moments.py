@@ -105,6 +105,17 @@ def test_bound_respects_hbar():
     assert report.context["half_commutator_magnitude"] == pytest.approx(0.125, abs=1e-10)
 
 
+def test_checks_default_to_registered_ids():
+    grid = make_uniform_grid(1, 256, 8.0)
+    x_op, p_op = _ops(grid)
+    psi = gaussian(grid, sigma=1.0)
+    bound = uncertainty_check(psi, x_op, p_op)
+    saturation = saturation_check(psi, x_op, p_op, 0.5)
+    assert (bound.check_id, bound.tolerance) == ("uncertainty_random_bound", 1e-8)
+    assert (saturation.check_id, saturation.tolerance) == ("uncertainty_gaussian_saturation", 1e-8)
+    assert saturation_check(psi, x_op, p_op, 0.5, tolerance=1e-6).tolerance == 1e-6
+
+
 def test_vector_bound_and_saturation():
     grid = make_uniform_grid(3, 64, 8.0)
     aniso = gaussian_3d(grid, sigmas=(1.0, 1.3, 0.7))

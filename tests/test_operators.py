@@ -112,7 +112,8 @@ def test_corollary_zero_input_flags_degenerate():
     grid = _grid(64, 4.0)
     zero = WaveFunction(grid=grid, representation="momentum", values=np.zeros(64))
     report = corollary_residual_momentum(zero)
-    assert report.passed
+    assert report.residual == 0.0
+    assert not report.passed
     assert report.context["degenerate_input"] is True
 
 

@@ -1,19 +1,50 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpb.report import CheckReport, emit_report, make_report, report_as_dict
+from qpb.report import CHECKS, CheckReport, emit_report, make_report, report_as_dict
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_make_report_pass_rule():
-    assert make_report("c", "ref", 1e-9, 1e-8).passed
-    assert make_report("c", "ref", 1e-8, 1e-8).passed
-    assert not make_report("c", "ref", 1.1e-8, 1e-8).passed
+    # uncertainty_random_bound is registered at tolerance 1e-8
+    assert make_report("uncertainty_random_bound", 1e-9).passed
+    assert make_report("uncertainty_random_bound", 1e-8).passed
+    assert not make_report("uncertainty_random_bound", 1.1e-8).passed
+    assert make_report("uncertainty_random_bound", 1.1e-8, 1e-7).passed
+
+
+def test_make_report_reads_citation_and_default_tolerance_from_the_registry():
+    report = make_report("kk_residual", 0.0)
+    assert report.paper_ref == CHECKS["kk_residual"].paper_ref
+    assert report.tolerance == CHECKS["kk_residual"].tolerance == 1e-5
+    assert make_report("kk_residual", 0.0, 0.5).tolerance == 0.5
+
+
+def test_make_report_rejects_an_unknown_id():
+    with pytest.raises(KeyError):
+        make_report("not_a_check", 0.0, 1.0)
+
+
+def test_non_finite_residuals_never_pass():
+    assert not make_report("kk_residual", math.inf, math.inf).passed
+    assert not make_report("kk_residual", math.nan).passed
+    assert not make_report("kk_residual", math.nan, math.inf).passed
+
+
+def test_invalid_scenario_fails_at_any_tolerance():
+    report = make_report("kk_residual", 0.0, 1.0, valid=False)
+    assert not report.passed
+    assert report_as_dict(report)["pass"] is False
 
 
 def test_context_is_plain_python():
-    report = make_report("c", "ref", 0.0, 1.0, context={
+    report = make_report("kk_residual", 0.0, 1.0, context={
         "arr": np.arange(3.0),
         "np_float": np.float64(2.5),
         "np_int": np.int64(7),
@@ -30,21 +61,23 @@ def test_context_is_plain_python():
 
 
 def test_json_field_order_and_pass_key():
-    report = make_report("zeta", "some ref", 0.5, 1.0, context={"k": 1})
-    keys = list(report_as_dict(report).keys())
-    assert keys == ["check_id", "paper_ref", "residual", "tolerance", "pass", "context"]
+    report = make_report("phase_equivalence", 0.5, 1.0, context={"k": 1}, valid=False)
+    row = report_as_dict(report)
+    assert list(row) == ["check_id", "paper_ref", "residual", "tolerance", "pass", "context"]
+    assert row["pass"] is False
 
 
 def test_emit_json_byte_stable():
-    reports = [make_report("b", "r2", 0.2, 0.1), make_report("a", "r1", 0.0, 1.0)]
+    reports = [make_report("weyl_sxp_normal_form", 0.2, 0.1), make_report("kk_residual", 0.0, 1.0)]
     one = emit_report(reports, "json")
     two = emit_report(reports, "json")
     assert one == two
     parsed = json.loads(one)
-    assert [row["check_id"] for row in parsed] == ["b", "a"]
+    assert [row["check_id"] for row in parsed] == ["weyl_sxp_normal_form", "kk_residual"]
     assert parsed[0]["pass"] is False
     # ascii-only output regardless of citation glyphs
-    emit_report([make_report("c", "§ ½ —", 0.0, 1.0)], "json").encode("ascii")
+    assert "½" in CHECKS["weyl_sxp_normal_form"].paper_ref
+    emit_report([make_report("weyl_sxp_normal_form", 0.0)], "json").encode("ascii")
 
 
 def test_emit_empty_list():
@@ -53,11 +86,11 @@ def test_emit_empty_list():
 
 
 def test_emit_table_contains_verdicts():
-    text = emit_report([make_report("ok", "r", 0.0, 1.0),
-                        make_report("bad", "r", 2.0, 1.0)], "table")
+    text = emit_report([make_report("kk_residual", 0.0, 1.0),
+                        make_report("ladder_algebra", 2.0, 1.0)], "table")
     lines = text.splitlines()
-    assert any("PASS" in line and "ok" in line for line in lines)
-    assert any("FAIL" in line and "bad" in line for line in lines)
+    assert any("PASS" in line and "kk_residual" in line for line in lines)
+    assert any("FAIL" in line and "ladder_algebra" in line for line in lines)
 
 
 def test_emit_unknown_format_rejected():
@@ -66,7 +99,21 @@ def test_emit_unknown_format_rejected():
 
 
 def test_report_is_frozen():
-    report = make_report("c", "ref", 0.0, 1.0)
+    report = make_report("kk_residual", 0.0, 1.0)
+    # the verdict is derived from the other fields; nothing can set it
     with pytest.raises(AttributeError):
         report.passed = False
+    with pytest.raises(AttributeError):
+        report.valid = False
+    with pytest.raises(TypeError):
+        CheckReport(check_id="kk_residual", paper_ref="", residual=0.0, tolerance=1.0,
+                    passed=False)
     assert isinstance(report, CheckReport)
+
+
+def test_readme_check_table_matches_the_registry():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|$", README.read_text(encoding="utf-8"),
+                      flags=re.MULTILINE)
+    assert len(rows) == len(CHECKS)
+    assert {check_id: float(tol) for check_id, tol in rows} == {
+        check_id: check.tolerance for check_id, check in CHECKS.items()}

@@ -2,13 +2,15 @@ import math
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qpb import suites
 from qpb.errors import ConfigurationError, ResourceBoundError
-from qpb.report import make_report
+from qpb.kk import phase_equivalence
+from qpb.report import CHECKS, make_report
 from qpb.symbolic import HbarPoly
-from qpb.suites import CITATIONS, KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
+from qpb.suites import KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
 
 EXPECTED_PER_SUITE = {
     "fourier": 4,
@@ -21,8 +23,9 @@ EXPECTED_PER_SUITE = {
 
 
 def test_every_check_id_has_a_citation():
-    assert set(CITATIONS) == set(KNOWN_CHECK_IDS)
-    assert all(isinstance(v, str) and v for v in CITATIONS.values())
+    assert set(CHECKS) == set(KNOWN_CHECK_IDS)
+    assert all(isinstance(c.paper_ref, str) and c.paper_ref for c in CHECKS.values())
+    assert all(c.tolerance >= 0.0 and math.isfinite(c.tolerance) for c in CHECKS.values())
 
 
 def test_suite_names_cover_builders_plus_all():
@@ -37,7 +40,8 @@ def test_each_suite_runs_its_checks(suite, count):
     assert ids == sorted(ids)
     assert set(ids) <= KNOWN_CHECK_IDS
     for r in reports:
-        assert r.paper_ref == CITATIONS[r.check_id]
+        assert r.paper_ref == CHECKS[r.check_id].paper_ref
+        assert r.tolerance == CHECKS[r.check_id].tolerance
 
 
 def test_all_suite_is_the_union():
@@ -61,11 +65,28 @@ def test_config_validation():
 
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_fold_propagates_nan_wherever_it_sits(position):
-    cases = [make_report("ladder_algebra", "ref", r, 1e-12) for r in (1e-15, 2e-15)]
-    bad = make_report("ladder_algebra", "ref", math.nan, 1e-12)
+    cases = [make_report("ladder_algebra", r) for r in (1e-15, 2e-15)]
+    bad = make_report("ladder_algebra", math.nan)
     cases = [bad] + cases if position == "first" else cases + [bad]
     folded = _fold("ladder_algebra", cases, 1e-12)
     assert math.isnan(folded.residual)
+    assert not folded.passed
+
+
+@pytest.mark.parametrize("override", [None, 1.0])
+def test_fold_with_an_invalid_case_fails_at_any_tolerance(override):
+    n = 64
+    mag, zero = np.ones(n), np.zeros(n)
+    valid = phase_equivalence(mag, zero, zero)
+    # the phase difference alternates between -0.8 and 0.8: residual 0.8, but
+    # adjacent steps of 1.6 > pi/2 leave the comparison under-resolved
+    under = phase_equivalence(mag, zero, 0.8 * (-1.0) ** np.arange(n))
+    assert valid.passed and not under.valid
+    assert under.context["insufficient_resolution"] is True
+    cfg = SuiteConfig(tolerances={} if override is None else {"phase_equivalence": override})
+    folded = _fold("phase_equivalence", [valid, under], cfg.tol("phase_equivalence"))
+    assert folded.residual == under.residual <= 1.0
+    assert not folded.valid
     assert not folded.passed
 
 

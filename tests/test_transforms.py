@@ -88,9 +88,16 @@ def test_momentum_kick_translates_transform():
 
 def test_transform_requires_matching_representation():
     grid = _grid(64, 4.0)
-    psi = WaveFunction(grid=grid, representation="energy", values=np.ones(64))
     with pytest.raises(RepresentationError):
-        transform(psi)
+        transforms.transform_block(np.ones(64, dtype=complex), grid, "energy")
+
+
+def test_transform_picks_the_direction_from_the_representation():
+    psi = gaussian(_grid(64, 4.0), sigma=1.0)
+    image = transform(psi)
+    assert image.representation == "momentum"
+    assert np.array_equal(image.values, to_momentum(psi).values)
+    assert np.array_equal(transform(image).values, to_position(image).values)
 
 
 def test_declared_output_grid_must_satisfy_reciprocity():
