@@ -6,8 +6,8 @@ of two sizes keep the conjugate transform pair exactly unitary.
 
 The `*_block` functions act on the trailing grid.dim axes of an array, so a
 (k, *grid.shape) block of k states and a single state of grid.shape go
-through the same code; reductions return one value per state. They build
-one temporary the size of their input and never write into the input.
+through the same code; reductions return one value per state. Each builds
+one temporary the size of its input; only normalize_block writes into it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The lowering matrix b has b[m-1, m] = sqrt(m). The Hermitian pair
 
     H = omega * (hbar * (b + b*) / sqrt(2))      T = (1 / omega) * (b - b*) / (i sqrt(2))
 
-is built with that exact grouping so frequency covariance is a bitwise float
-identity, not an approximate one: scaling omega rescales H by omega and T by
-1/omega with no other change. Their commutator at truncation N is
+is realized from the letters H and T of qpb.symbolic.matrices.letter_matrices,
+whose grouping makes frequency covariance a bitwise float identity: scaling
+omega rescales H by omega and T by 1/omega with no other change. Their
+commutator at truncation N is
 
     [H, T] = i hbar [b, b*] = i hbar diag(1, ..., 1, -(N-1))
 
@@ -27,6 +28,7 @@ from .errors import (
     ProtectedRangeError,
 )
 from .report import CheckReport, make_report, worst
+from .symbolic import OperatorPoly, letter_matrices, matrix_realize
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,10 @@ class LadderSystem:
 def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSystem:
     if n_trunc < 4:
         raise ConfigurationError("ladder truncation below 4 leaves nothing to check")
-    if omega <= 0 or hbar <= 0:
-        raise ConfigurationError("omega and hbar must be positive")
-    b = np.diag(np.sqrt(np.arange(1, n_trunc, dtype=np.float64)), k=1).astype(np.complex128)
-    bd = b.conj().T
-    sym = (b + bd) / np.sqrt(2.0)
-    anti = (b - bd) / (1j * np.sqrt(2.0))
-    energy = omega * (hbar * sym)
-    time = (1.0 / omega) * anti
-    number = bd @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128)
+    energy = matrix_realize(OperatorPoly.letter("H"), n_trunc, hbar, omega)
+    time = matrix_realize(OperatorPoly.letter("T"), n_trunc, hbar, omega)
+    b = np.diag(letter_matrices(n_trunc, hbar, omega)["b"][0], k=1)
+    number = b.conj().T @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128)
     return LadderSystem(n_trunc=n_trunc, omega=omega, hbar=hbar,
                         lowering=b, energy=energy, time=time, number=number)
 
@@ -138,6 +135,18 @@ class EigenstateRepresentation:
     chi: np.ndarray
 
 
+def _eigenbases(system: LadderSystem, m_max: int):
+    """eigh of T and of H on the protected (n_trunc - 1) block, once: both
+    eigenvector matrices as eigh returns them, and number states 0..m_max
+    over the phase-fixed bases."""
+    block = slice(0, system.n_trunc - 1)
+    times, u_t = np.linalg.eigh(system.time[block, block])
+    energies, u_h = np.linalg.eigh(system.energy[block, block])
+    fixed_t, fixed_h = _phase_fixed_columns(u_t), _phase_fixed_columns(u_h)
+    return u_t, u_h, [EigenstateRepresentation(times, energies, fixed_t[m, :].conj(),
+                                               fixed_h[m, :].conj()) for m in range(m_max + 1)]
+
+
 def eigenstate_representations(system: LadderSystem, m: int) -> EigenstateRepresentation:
     """Number state m expanded over the time and energy eigenbases of the
     protected (n_trunc - 1) block: phi[j] and chi[j] are its components on
@@ -146,15 +155,7 @@ def eigenstate_representations(system: LadderSystem, m: int) -> EigenstateRepres
     if not 0 <= m <= n - 2:
         raise ProtectedRangeError(
             f"basis index {m} outside the protected block 0..{n - 2}")
-    block = slice(0, n - 1)
-    times, u_t = np.linalg.eigh(system.time[block, block])
-    energies, u_h = np.linalg.eigh(system.energy[block, block])
-    u_t = _phase_fixed_columns(u_t)
-    u_h = _phase_fixed_columns(u_h)
-    return EigenstateRepresentation(
-        times=times, energies=energies,
-        phi=u_t[m, :].conj(), chi=u_h[m, :].conj(),
-    )
+    return _eigenbases(system, m)[2][m]
 
 
 def eigenstate_overlap_check(system: LadderSystem, m_max: int = 4) -> CheckReport:
@@ -163,15 +164,12 @@ def eigenstate_overlap_check(system: LadderSystem, m_max: int = 4) -> CheckRepor
     n = system.n_trunc
     if m_max > n - 2:
         raise ProtectedRangeError(f"m_max {m_max} outside the protected block")
-    block = slice(0, n - 1)
-    _, u_t = np.linalg.eigh(system.time[block, block])
-    _, u_h = np.linalg.eigh(system.energy[block, block])
+    u_t, u_h, reps = _eigenbases(system, m_max)
     overlap = u_h.conj().T @ u_t
     eye = np.eye(n - 1)
     resid = _max_abs(overlap.conj().T @ overlap - eye)
     norm_defects = []
-    for m in range(m_max + 1):
-        rep = eigenstate_representations(system, m)
+    for rep in reps:
         norm_defects.append(abs(float(np.sum(np.abs(rep.phi) ** 2)) - 1.0))
         norm_defects.append(abs(float(np.sum(np.abs(rep.chi) ** 2)) - 1.0))
     resid = worst([resid] + norm_defects)

@@ -18,7 +18,6 @@ from .expr import (
 )
 from .matrices import (
     letter_matrices,
-    lowering_matrix,
     matrix_realize,
     protected_slice,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "WeylS",
     "commutator_poly",
     "letter_matrices",
-    "lowering_matrix",
     "matrix_realize",
     "parse_expression",
     "poly_of",

@@ -22,23 +22,25 @@ from ..errors import ConfigurationError
 from .poly import OperatorPoly
 
 
-def lowering_matrix(n_trunc: int) -> np.ndarray:
+def letter_matrices(n_trunc: int, hbar_value: float,
+                    omega: float = 1.0) -> dict[str, np.ndarray]:
+    """Superdiagonal L[j-1, j] (row 0) and subdiagonal L[j+1, j] (row 1) of
+    b and of each letter, by the dense formulas applied entry by entry: every
+    entry has the raw bits of the dense letter's, signs of zeros included."""
     if n_trunc < 2:
         raise ConfigurationError("matrix realization needs at least 2 basis states")
-    return np.diag(np.sqrt(np.arange(1, n_trunc, dtype=np.float64)), k=1).astype(np.complex128)
-
-
-def letter_matrices(n_trunc: int, hbar_value: float, omega: float = 1.0) -> dict[str, np.ndarray]:
     if hbar_value <= 0:
         raise ConfigurationError("hbar_value must be positive")
     if omega <= 0:
         raise ConfigurationError("omega must be positive")
-    b = lowering_matrix(n_trunc)
-    bd = b.conj().T
+    b = np.zeros((2, n_trunc - 1), dtype=np.complex128)
+    b[0] = np.sqrt(np.arange(1, n_trunc, dtype=np.float64))
+    bd = b[::-1].conj()
     sym = (b + bd) / np.sqrt(2.0)
     anti = (b - bd) / (1j * np.sqrt(2.0))
     root = np.sqrt(hbar_value / 2.0)
     return {
+        "b": b,
         "X": root * (b + bd),
         "P": 1j * root * (bd - b),
         "H": omega * (hbar_value * sym),
@@ -47,15 +49,12 @@ def letter_matrices(n_trunc: int, hbar_value: float, omega: float = 1.0) -> dict
 
 
 @lru_cache(maxsize=8)
-def _letter_bands(n_trunc: int, hbar_value: float,
-                  omega: float) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each letter's superdiagonal L[j-1, j] and subdiagonal L[j+1, j], taken
-    from letter_matrices and frozen read-only."""
-    bands = {}
-    for name, m in letter_matrices(n_trunc, hbar_value, omega).items():
-        up, lo = np.diagonal(m, 1).copy(), np.diagonal(m, -1).copy()
-        up.flags.writeable = lo.flags.writeable = False
-        bands[name] = (up, lo)
+def _letter_bands(n_trunc: int, hbar_value: float, omega: float) -> dict[str, np.ndarray]:
+    """letter_matrices frozen read-only. weyl uses one entry, ladder.build one
+    per system and only while building it, so the live one is never evicted."""
+    bands = letter_matrices(n_trunc, hbar_value, omega)
+    for band in bands.values():
+        band.flags.writeable = False
     return bands
 
 
@@ -69,6 +68,8 @@ def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
     scaled slice updates. 64 entries hold every word weyl's oracle realizes
     (61: the 31 words of degree <= 4 and the 45 normal-ordered words of
     degree <= 8 share 15), and at MAX_N_TRUNC stay below one dense matrix.
+    ladder.build's (), ("H",) and ("T",) serve one system each, so they are
+    the least recently used entries by the time weyl's oracle needs room.
     """
     d = len(word)
     band = np.zeros((2 * d + 1, n_trunc), dtype=np.complex128)

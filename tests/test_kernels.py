@@ -5,7 +5,8 @@ The reference functions below are the previous expressions, written out with
 numpy alone; every comparison is on the raw bytes, so not a single bit of an
 output may move, and every input is frozen and compared byte for byte after
 the call, so no kernel may write into its caller's array. The ladder letters'
-bands are held to the diagonals of the dense letter matrices the same way.
+bands are held to the diagonals of the dense letter matrices (dense_letters.py)
+the same way.
 """
 
 import math
@@ -14,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_letters import dense_letters
 from qpb.errors import ConfigurationError
 from qpb.grids import (
     WaveFunction,
@@ -35,7 +37,7 @@ from qpb.operators import (
     position_operator,
 )
 from qpb.states import _band_basis, gaussian_3d, random_band_limited
-from qpb.symbolic.matrices import _letter_bands, letter_matrices
+from qpb.symbolic.matrices import _letter_bands
 from qpb.transforms import reciprocal_grid, transform_block
 
 
@@ -281,7 +283,7 @@ def test_commutator_matrix_keeps_three_states_alive():
 def test_letter_bands_are_the_dense_letter_diagonals(n_trunc):
     for hbar_value, omega in ((1.0, 1.0), (0.3, 2.0), (1e-3, 0.25), (1e5, 7.5)):
         bands = _letter_bands(n_trunc, hbar_value, omega)
-        for name, m in letter_matrices(n_trunc, hbar_value, omega).items():
+        for name, m in dense_letters(n_trunc, hbar_value, omega).items():
             up, lo = bands[name]
             # raw bits, so even the signs of zeros agree
             assert _same_bits(up, np.diagonal(m, 1)), (name, hbar_value, omega)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_letters import dense_letters
 from qpb import ladder
 from qpb.errors import (
     ConfigurationError,
@@ -30,6 +31,18 @@ def test_build_shapes_and_hermiticity():
     assert np.max(np.abs(system.energy - system.energy.conj().T)) == 0.0
     assert np.max(np.abs(system.time - system.time.conj().T)) < 1e-15
     assert system.omega == 2.0 and system.hbar == 0.5
+
+
+@pytest.mark.parametrize("n_trunc", [4, 9, 64, 257])
+def test_build_is_bit_equal_to_the_dense_letters(n_trunc):
+    for hbar, omega in ((1.0, 1.0), (0.3, 2.0), (1e-3, 0.25), (1e5, 7.5)):
+        system = build(n_trunc, omega, hbar)
+        dense = dense_letters(n_trunc, hbar, omega)
+        for field, name in (("lowering", "b"), ("energy", "H"), ("time", "T")):
+            got = getattr(system, field)
+            # raw bits, so even the signs of zeros agree
+            assert got.shape == dense[name].shape, (field, hbar, omega)
+            assert got.tobytes() == dense[name].tobytes(), (field, hbar, omega)
 
 
 def test_build_arrays_frozen():
@@ -190,13 +203,14 @@ def test_ladder_algebra_nan_fails():
 
 
 def test_eigenstate_overlap_nan_norm_defect_fails(monkeypatch):
-    original = ladder.eigenstate_representations
+    original = ladder._eigenbases
 
-    def spoiled(system, m):
-        rep = original(system, m)
-        return replace(rep, chi=rep.chi * np.nan) if m == 2 else rep
+    def spoiled(system, m_max):
+        u_t, u_h, reps = original(system, m_max)
+        reps[2] = replace(reps[2], chi=reps[2].chi * np.nan)
+        return u_t, u_h, reps
 
-    monkeypatch.setattr(ladder, "eigenstate_representations", spoiled)
+    monkeypatch.setattr(ladder, "_eigenbases", spoiled)
     report = eigenstate_overlap_check(build(N), m_max=4)
     assert np.isnan(report.residual)
     assert not report.passed

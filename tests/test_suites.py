@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qpb import suites
 from qpb.errors import ConfigurationError, ResourceBoundError
 from qpb.kk import phase_equivalence
-from qpb.report import CHECKS, make_report
+from qpb.report import CHECKS, emit_report, make_report
 from qpb.symbolic import HbarPoly
 from qpb.suites import KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
 
@@ -26,6 +27,14 @@ def test_every_check_id_has_a_citation():
     assert set(CHECKS) == set(KNOWN_CHECK_IDS)
     assert all(isinstance(c.paper_ref, str) and c.paper_ref for c in CHECKS.values())
     assert all(c.tolerance >= 0.0 and math.isfinite(c.tolerance) for c in CHECKS.values())
+
+
+def test_default_json_is_byte_identical_to_the_golden_copy():
+    # data/default_all.json holds `qpb verify all --format json` at the
+    # default config; a change that moves any residual's bits must say which
+    # and why, and refresh the copy
+    golden = Path(__file__).with_name("data") / "default_all.json"
+    assert emit_report(run_suite(SuiteConfig()), "json").encode() == golden.read_bytes()
 
 
 def test_suite_names_cover_builders_plus_all():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from dense_letters import dense_letters
 from qpb.errors import ConfigurationError
 from qpb.symbolic.matrices import _letter_bands, _word_band
 from qpb.symbolic import (
     OperatorPoly,
     commutator_poly,
     letter_matrices,
-    lowering_matrix,
     matrix_realize,
     poly_of,
     protected_slice,
@@ -17,25 +17,31 @@ from qpb.symbolic import (
 N = 32
 
 
+def realized_letters(n_trunc, hbar_value, omega=1.0):
+    return {name: matrix_realize(OperatorPoly.letter(name), n_trunc, hbar_value, omega)
+            for name in ("X", "P", "H", "T")}
+
+
 def test_lowering_matrix_entries():
-    b = lowering_matrix(5)
-    expected = np.zeros((5, 5))
-    for m in range(1, 5):
-        expected[m - 1, m] = np.sqrt(m)
-    assert np.array_equal(b, expected)
+    # the "b" band: b[m-1, m] = sqrt(m) above the diagonal, zeros below
+    up, lo = letter_matrices(5, 1.0)["b"]
+    assert np.array_equal(up, np.sqrt([1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(lo, np.zeros(4))
 
 
 def test_lowering_matrix_needs_two_levels():
     with pytest.raises(ConfigurationError):
-        lowering_matrix(1)
+        letter_matrices(1, 1.0)
 
 
 def test_letter_matrices_hermitian_and_scaled():
-    mats = letter_matrices(N, hbar_value=0.7, omega=2.0)
+    bands = letter_matrices(N, hbar_value=0.7, omega=2.0)
+    assert set(bands) == {"b", "X", "P", "H", "T"}
     for name in ("X", "P", "H", "T"):
-        m = mats[name]
-        assert m.shape == (N, N)
-        assert np.max(np.abs(m - m.conj().T)) < 1e-14
+        up, lo = bands[name]
+        assert bands[name].shape == (2, N - 1)
+        # Hermitian: L[j+1, j] = conj(L[j, j+1])
+        assert np.max(np.abs(lo - up.conj())) < 1e-14
     # the energy letter groups its scalars so omega scaling is bitwise exact
     assert np.array_equal(letter_matrices(N, 0.7, omega=3.0)["H"],
                           3.0 * (letter_matrices(N, 0.7, omega=1.0)["H"]))
@@ -44,7 +50,7 @@ def test_letter_matrices_hermitian_and_scaled():
 def test_canonical_commutator_defect_is_confined_to_corner():
     # [b, b+] = I except entry (N-1, N-1) where truncation puts -(N-1);
     # diagonal entries are sqrt(m+1)^2 - sqrt(m)^2, so rounding-level only
-    b = lowering_matrix(N)
+    b = np.diag(letter_matrices(N, 1.0)["b"][0], k=1)
     comm = b @ b.T - b.T @ b
     assert np.max(np.abs(np.diag(comm)[:-1] - 1.0)) < 1e-13
     assert comm[N - 1, N - 1] == pytest.approx(-(N - 1), rel=1e-14)
@@ -53,7 +59,7 @@ def test_canonical_commutator_defect_is_confined_to_corner():
 
 
 def test_xp_commutator_on_protected_block():
-    mats = letter_matrices(N, hbar_value=0.5)
+    mats = realized_letters(N, hbar_value=0.5)
     comm = mats["X"] @ mats["P"] - mats["P"] @ mats["X"]
     s = protected_slice(N, 2)
     assert np.max(np.abs(comm[s, s] - 1j * 0.5 * np.eye(N)[s, s])) < 1e-14
@@ -82,7 +88,7 @@ def test_symbolic_commutator_matches_matrix_commutator():
     x, p = OperatorPoly.letter("X"), OperatorPoly.letter("P")
     a = x * x * p
     b = p * x
-    m = letter_matrices(N, 1.0)
+    m = dense_letters(N, 1.0)
     m_a = m["X"] @ m["X"] @ m["P"]
     m_b = m["P"] @ m["X"]
     direct = m_a @ m_b - m_b @ m_a
@@ -93,7 +99,7 @@ def test_symbolic_commutator_matches_matrix_commutator():
 
 
 def test_ht_register_realization():
-    mats = letter_matrices(N, hbar_value=1.0, omega=2.0)
+    mats = realized_letters(N, hbar_value=1.0, omega=2.0)
     comm = mats["H"] @ mats["T"] - mats["T"] @ mats["H"]
     s = protected_slice(N, 2)
     assert np.max(np.abs(comm[s, s] - 1j * np.eye(N)[s, s])) < 1e-13
@@ -110,7 +116,7 @@ def test_protected_slice_validation():
 def dense_realize(p, n_trunc, hbar_value, omega):
     """Word products as chains of dense matmuls from the identity; also returns
     the entrywise sum of |coeff| |L1|...|Ld| that bounds their rounding."""
-    letters = letter_matrices(n_trunc, hbar_value, omega)
+    letters = dense_letters(n_trunc, hbar_value, omega)
     total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
     magnitude = np.zeros((n_trunc, n_trunc))
     for word, coeff in p.terms():
@@ -164,7 +170,7 @@ def test_realization_is_exact_unless_row_and_column_both_leave_the_protected_blo
 def test_letter_bands_follow_hbar_and_are_read_only():
     for hbar_value in (0.5, 2.0, 0.5):
         bands = _letter_bands(16, hbar_value, 1.0)
-        for name, m in letter_matrices(16, hbar_value, 1.0).items():
+        for name, m in dense_letters(16, hbar_value, 1.0).items():
             up, lo = bands[name]
             assert np.array_equal(up, np.diagonal(m, 1))
             assert np.array_equal(lo, np.diagonal(m, -1))
@@ -228,7 +234,7 @@ def test_matrix_realize_cold_and_warm_calls_agree():
 def test_word_bands_follow_hbar_and_omega_and_are_read_only():
     words = [(), ("X",), ("P", "X", "P"), ("X", "X", "P", "P"), ("H", "T", "T"), ("T", "H")]
     for hbar_value, omega in ((0.5, 1.0), (2.0, 3.0), (0.5, 1.0)):
-        mats = letter_matrices(16, hbar_value, omega)
+        mats = dense_letters(16, hbar_value, omega)
         for word in words:
             band = _word_band(word, 16, hbar_value, omega)
             dense = np.eye(16, dtype=np.complex128)
