@@ -31,6 +31,9 @@ from .report import CheckReport, make_report, worst
 from .symbolic import OperatorPoly, letter_matrices, matrix_realize
 
 
+_MATRICES = ("lowering", "energy", "time", "number")
+
+
 @dataclass(frozen=True)
 class LadderSystem:
     n_trunc: int
@@ -42,10 +45,25 @@ class LadderSystem:
     number: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("lowering", "energy", "time", "number"):
-            m = np.asarray(getattr(self, name), dtype=np.complex128).copy()
+        self._keep(**{name: np.asarray(getattr(self, name), dtype=np.complex128).copy()
+                      for name in _MATRICES})
+
+    def _keep(self, **matrices: np.ndarray) -> None:
+        """Store complex matrices that no one else holds, read-only."""
+        for name, m in matrices.items():
             m.flags.writeable = False
             object.__setattr__(self, name, m)
+
+    @classmethod
+    def _with_fresh(cls, n_trunc: int, omega: float, hbar: float,
+                    **matrices: np.ndarray) -> "LadderSystem":
+        """The constructor without the copies, for complex matrices that the
+        caller has just built and holds no other reference to."""
+        system = object.__new__(cls)
+        for name, value in (("n_trunc", n_trunc), ("omega", omega), ("hbar", hbar)):
+            object.__setattr__(system, name, value)
+        system._keep(**matrices)
+        return system
 
 
 def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSystem:
@@ -55,8 +73,8 @@ def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSys
     time = matrix_realize(OperatorPoly.letter("T"), n_trunc, hbar, omega)
     b = np.diag(letter_matrices(n_trunc, hbar, omega)["b"][0], k=1)
     number = b.conj().T @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128)
-    return LadderSystem(n_trunc=n_trunc, omega=omega, hbar=hbar,
-                        lowering=b, energy=energy, time=time, number=number)
+    return LadderSystem._with_fresh(n_trunc, omega, hbar,
+                                    lowering=b, energy=energy, time=time, number=number)
 
 
 def _max_abs(m: np.ndarray) -> float:

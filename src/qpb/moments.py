@@ -69,7 +69,7 @@ def moments(psi: WaveFunction, op: GridOperator) -> Moments:
     state: the per-state arithmetic of pair_moments_block, for one operator."""
     g, v = psi.grid, psi.values
     _require_normalized(v, g)
-    m = _moments_of(v, apply_block(op, v, g, psi.representation), g)
+    m = _moments_of(v, apply(op, psi).values, g)
     return Moments(mean=float(m.mean), second=float(m.second), spread=float(m.spread),
                    mean_imag_residue=float(m.mean_imag_residue))
 

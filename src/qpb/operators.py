@@ -20,13 +20,16 @@ grid is array axis m - grid.dim, and coordinates broadcast against those
 axes. `apply_block` therefore takes a (k, *grid.shape) block of k states as
 readily as one state; `apply` calls it on a single WaveFunction.
 
-Kernels never write into their input, which may be a read-only
-`WaveFunction.values`. They scale and combine the fresh arrays they
-allocate themselves (FFT outputs, shifted copies) in place, and run each
-inverse FFT in place in its own spectrum, so a spectral derivative
-allocates one array the size of its input. `apply` and
-`commutator_apply` hand their fresh result to the WaveFunction they return
-without copying it.
+`apply_block` never writes into its input, which may be a read-only
+`WaveFunction.values`. The kernels scale and combine the fresh arrays they
+allocate themselves (FFT outputs, difference arrays) in place, and run each
+inverse FFT in place in its own spectrum, so a derivative allocates one
+array the size of its input. `_apply_block(..., overwrite=True)` is the one
+private path that writes into its input: the caller hands over an array it
+owns, and a multiplication or spectral derivative (forward FFT included)
+runs in place there. `commutator_apply` and `commutator_expectation_matrix`
+use it for the operator they apply last. `apply` and `commutator_apply`
+hand their fresh result to the WaveFunction they return without copying it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     IncompatibleOperandsError,
     RepresentationError,
 )
-from .grids import UniformGrid, WaveFunction, _inner_product_into, boundary_mass
+from .grids import UniformGrid, WaveFunction, boundary_mass, inner_product_block
 from .report import CheckReport, make_report
 from .transforms import reciprocal_grid, transform_block
 
@@ -78,22 +81,29 @@ def momentum_operator(grid: UniformGrid, axis: int = 0, backend: str = "spectral
     raise ConfigurationError(f"unknown momentum backend {backend!r}")
 
 
-def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int) -> np.ndarray:
+def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx_axis of values by FFT; both FFTs run in place in `out` when given
+    (it may be `values` itself), else in one fresh array."""
     w = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
     mult = 1j * w
     mult[grid.n_points // 2] = 0.0  # Nyquist must not leak into odd derivatives
     shape = [1] * grid.dim
     shape[axis] = grid.n_points
     axis -= grid.dim
-    spectrum = np.fft.fft(values, axis=axis)
+    spectrum = np.fft.fft(values, axis=axis, out=out)
     spectrum *= mult.reshape(shape)
     return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 
 def _central_difference(values: np.ndarray, grid: UniformGrid, axis: int) -> np.ndarray:
-    axis -= grid.dim
-    diff = np.roll(values, -1, axis=axis)
-    diff -= np.roll(values, 1, axis=axis)
+    """(psi_{j+1} - psi_{j-1}) / (2 spacing) along `axis` with periodic wrap,
+    from slice differences written into one fresh array."""
+    diff = np.empty_like(values)
+    v, d = np.moveaxis(values, axis - grid.dim, -1), np.moveaxis(diff, axis - grid.dim, -1)
+    np.subtract(v[..., 2:], v[..., :-2], out=d[..., 1:-1])
+    np.subtract(v[..., 1], v[..., -1], out=d[..., 0])
+    np.subtract(v[..., 0], v[..., -2], out=d[..., -1])
     diff /= 2.0 * grid.spacing
     return diff
 
@@ -101,13 +111,21 @@ def _central_difference(values: np.ndarray, grid: UniformGrid, axis: int) -> np.
 def apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
                 representation: str = "position") -> np.ndarray:
     """Apply op to every state of a block on `grid` in `representation`."""
+    return _apply_block(op, values, grid, representation)
+
+
+def _apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
+                 representation: str = "position", overwrite: bool = False) -> np.ndarray:
+    """apply_block; with overwrite=True, `values` is a complex array that the
+    caller owns and gives up, and the result may be written into it."""
     if not op.grid.compatible(grid):
         raise IncompatibleOperandsError("operator and state live on incompatible grids")
+    out = values if overwrite else None
     if representation == "position":
         if op.kind == "position_multiply":
-            return grid.coordinate(op.axis) * values
+            return np.multiply(grid.coordinate(op.axis), values, out=out)
         if op.kind == "momentum_spectral":
-            derivative = _spectral_derivative(values, grid, op.axis)
+            derivative = _spectral_derivative(values, grid, op.axis, out=out)
         else:
             derivative = _central_difference(values, grid, op.axis)
         derivative *= -1j * grid.hbar
@@ -118,7 +136,7 @@ def apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
             pos = transform_block(values, grid, "momentum")
             pos *= r_grid.coordinate(op.axis)
             return transform_block(pos, r_grid, "position")
-        return grid.coordinate(op.axis) * values
+        return np.multiply(grid.coordinate(op.axis), values, out=out)
     raise RepresentationError(f"operators act on position or momentum states, got {representation!r}")
 
 
@@ -131,9 +149,12 @@ def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> Wav
     """(AB - BA) psi by two applications per term, no algebraic shortcut."""
     if not a.grid.compatible(b.grid):
         raise IncompatibleOperandsError("commutator operands live on incompatible grids")
-    ab = apply(a, apply(b, psi))
-    ba = apply(b, apply(a, psi))
-    return psi._with_fresh(ab.values - ba.values)
+    g, v, rep = psi.grid, psi.values, psi.representation
+    # each outer operator works in the inner one's fresh result, so at most
+    # two arrays the size of psi are alive at once
+    ab = _apply_block(a, _apply_block(b, v, g, rep), g, rep, overwrite=True)
+    ab -= _apply_block(b, _apply_block(a, v, g, rep), g, rep, overwrite=True)
+    return psi._with_fresh(ab)
 
 
 def _identity_residual(psi: WaveFunction, comm_values: np.ndarray, threshold: float) -> tuple[float, int]:
@@ -224,10 +245,12 @@ def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float 
 def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
     """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target.
 
-    P_n psi is computed once per n and reused for the three X_m P_n psi terms;
-    X_m psi, X_m P_n psi and the conjugate product of the inner product are
-    written into one reused grid-sized buffer, so at most psi, P_n psi, that
-    buffer and the commutator are alive at once.
+    x_m is real, so <psi|X_m P_n psi> is taken as <X_m psi|P_n psi> and
+    X_m P_n psi is never formed. P_n psi is computed once per n; X_m psi is
+    written into one reused buffer, and after its inner product with P_n psi
+    the spectral P_n runs in place there. So at most psi, P_n psi and that
+    buffer are alive at once; the finite-difference P_n adds its fresh
+    difference array.
     """
     if psi.grid.dim != 3:
         raise ConfigurationError("commutator_expectation_matrix needs a 3D state")
@@ -241,11 +264,9 @@ def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") 
         p_n = momentum_operator(g, n, backend=backend)
         p_psi = apply_block(p_n, v, g)
         for m in range(3):
-            # X_m acts in the position representation by multiplication; the
-            # del frees [X_m, P_n] psi before the next P_n X_m psi is made
-            x_m = g.coordinate(m)
-            comm = apply_block(p_n, np.multiply(x_m, v, out=x_buf), g)
-            np.subtract(np.multiply(x_m, p_psi, out=x_buf), comm, out=comm)
-            out[m, n] = complex(_inner_product_into(x_buf, v, comm, g)) / (1j * g.hbar)
-            del comm
+            x_psi = np.multiply(g.coordinate(m), v, out=x_buf)
+            xp = inner_product_block(x_psi, p_psi, g)
+            px = inner_product_block(v, _apply_block(p_n, x_psi, g, overwrite=True), g)
+            out[m, n] = complex(xp - px) / (1j * g.hbar)
+        del p_psi  # freed before the next P_n psi is made
     return out

@@ -2,20 +2,28 @@
 
 The kernels build their outputs in place in arrays they allocate themselves.
 The reference functions below are the previous expressions, written out with
-numpy alone; every comparison is on the raw bytes, so not a single bit of an
-output may move, and every input is frozen and compared byte for byte after
-the call, so no kernel may write into its caller's array. The ladder letters'
-bands are held to the diagonals of the dense letter matrices (dense_letters.py)
-the same way.
+numpy alone. The operators, transforms and boundary mass are compared on the
+raw bytes, so not a single bit of their outputs may move. The reductions
+(inner products, norms, and the numbers built from them) add in another
+order than numpy's flat sum did, so they are held to an exact math.fsum
+reference within Higham's bound (exact_sums.py), and every block row to the
+bits of its state reduced alone. Every input is frozen and compared byte for
+byte after the call, so no kernel may write into its caller's array. The
+ladder letters' bands are held to the diagonals of the dense letter matrices
+(dense_letters.py) the same way.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense_letters import dense_letters
+from exact_sums import exact_inner, exact_norm
 from qpb.errors import ConfigurationError
 from qpb.grids import (
     WaveFunction,
@@ -24,7 +32,7 @@ from qpb.grids import (
     make_uniform_grid,
     norm_block,
 )
-from qpb.moments import pair_moments_block
+from qpb.moments import pair_moments_block, vector_uncertainty_check
 from qpb.operators import (
     GridOperator,
     OPERATOR_KINDS,
@@ -52,18 +60,6 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _old_state_sum(values, grid):
-    return np.sum(values.reshape(values.shape[:values.ndim - grid.dim] + (-1,)), axis=-1)
-
-
-def _old_inner(a, b, grid):
-    return _old_state_sum(np.conj(a) * b, grid) * grid.spacing**grid.dim
-
-
-def _old_norm(values, grid):
-    return np.sqrt(_old_state_sum(np.abs(values) ** 2, grid) * grid.spacing**grid.dim)
-
-
 def _old_transform(values, grid, representation):
     s = (-1.0) ** np.arange(grid.n_points)
     if grid.dim == 3:
@@ -87,6 +83,18 @@ def _old_derivative(values, grid, axis, kind):
         return np.fft.ifft(mult.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
     axis -= grid.dim
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * grid.spacing)
+
+
+def _within(got, reference):
+    values, bounds = reference
+    return bool(np.all(np.abs(np.asarray(got) - values) <= bounds))
+
+
+def _rows_keep_lone_bits(reduce, *blocks):
+    """Every row of a block reduction has the bits of its state reduced alone."""
+    got = reduce(*blocks)
+    return all(_same_bits(got[i], reduce(*(b[i] for b in blocks)))
+               for i in range(len(got)))
 
 
 def _old_apply(op, values, grid, representation):
@@ -138,16 +146,43 @@ def test_transform_block_leaves_its_input_and_matches_the_old_expression(dim, n_
     assert _same_bits(values, kept)
 
 
-@pytest.mark.parametrize("dim,n_points,rows", CASES)
+@pytest.mark.parametrize("dim,n_points,rows", CASES + [(1, 65536, 2)])
 def test_reductions_leave_their_inputs_and_match_the_old_expressions(dim, n_points, rows):
-    grid = make_uniform_grid(dim, n_points, 8.0)
+    """Within the bound of the exact sums; at 64^3 and at 65536 points too,
+    the largest grids the suites reduce."""
+    grid = make_uniform_grid(dim, n_points, 8.0 if n_points < 65536 else 64.0)
     a = _block(grid, rows, 1)
     b = _frozen(apply_block(momentum_operator(grid, dim - 1), a, grid))
     kept_a, kept_b = np.array(a), np.array(b)
-    assert _same_bits(inner_product_block(a, b, grid), _old_inner(a, b, grid))
-    assert _same_bits(inner_product_block(b, b, grid), _old_inner(b, b, grid))
-    assert _same_bits(norm_block(b, grid), _old_norm(b, grid))
+    assert _within(inner_product_block(a, b, grid), exact_inner(a, b, grid))
+    assert _within(inner_product_block(b, b, grid), exact_inner(b, b, grid))
+    assert _within(norm_block(b, grid), exact_norm(b, grid))
+    if rows is not None:
+        assert _rows_keep_lone_bits(lambda x, y: inner_product_block(x, y, grid), a, b)
+        assert _rows_keep_lone_bits(lambda x: norm_block(x, grid), b)
     assert _same_bits(a, kept_a) and _same_bits(b, kept_b)
+
+
+def test_long_rows_give_the_same_bits_on_any_blas_thread_count():
+    """OpenBLAS runs a dot of more than 10000 samples on several threads;
+    rows of ROW_SAMPLES keep a 65536-point inner product off that path."""
+    code = ("import numpy as np; from qpb.grids import make_uniform_grid, inner_product_block; "
+            "g = make_uniform_grid(1, 65536, 64.0); "
+            "v = np.exp(-g.axis_points() ** 2 / 2 + 1j * g.axis_points()); "
+            "print(repr(complex(inner_product_block(v, v * g.axis_points(), g))))")
+    outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                              check=True).stdout
+               for threads in ("1", "2")}
+    assert len(outputs) == 1
+
+
+def test_a_3d_block_row_keeps_its_lone_state_bits():
+    grid = make_uniform_grid(3, 64, 8.0)
+    a = _frozen([gaussian_3d(grid, sigmas=s).values for s in ((1.0, 1.25, 0.8), (0.9, 1.1, 1.2))])
+    b = _frozen(apply_block(momentum_operator(grid, 1), a, grid))
+    assert _rows_keep_lone_bits(lambda x, y: inner_product_block(x, y, grid), a, b)
+    assert _rows_keep_lone_bits(lambda x: norm_block(x, grid), b)
 
 
 @pytest.mark.parametrize("dim,n_points,rows", CASES)
@@ -179,7 +214,7 @@ def test_random_band_limited_matches_the_old_loop_and_keeps_its_basis(n_points, 
     for j in range(13):
         modes += c[:, j, None] * waves[j]
     old = envelope * modes
-    old /= _old_norm(old, grid)[:, None]
+    old /= norm_block(old, grid)[:, None]
     got = random_band_limited(grid, np.random.default_rng(3), n_states=rows)
     assert _same_bits(got, old)
     assert not waves.flags.writeable and not envelope.flags.writeable
@@ -194,28 +229,35 @@ def test_pair_moments_block_leaves_its_input_and_matches_the_old_expression(n_po
     kept = np.array(values)
     data = pair_moments_block(values, grid, x_op, p_op)
     a, b = _old_apply(x_op, values, grid, "position"), _old_apply(p_op, values, grid, "position")
-    comm = _old_inner(values, _old_apply(x_op, b, grid, "position")
-                      - _old_apply(p_op, a, grid, "position"), grid)
-    assert _same_bits(data["commutator_expectation"], comm)
+    comm = exact_inner(values, _old_apply(x_op, b, grid, "position")
+                       - _old_apply(p_op, a, grid, "position"), grid)
+    assert _within(data["commutator_expectation"], comm)
+    assert _rows_keep_lone_bits(
+        lambda v: pair_moments_block(v, grid, x_op, p_op)["commutator_expectation"], values)
     assert _same_bits(values, kept)
 
 
 @pytest.mark.parametrize("backend", ["spectral", "finite_difference"])
 def test_commutator_matrix_leaves_its_state_and_matches_the_old_loop(backend):
-    grid = make_uniform_grid(3, 64, 8.0)
-    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    """Entry (m, n) is <X_m psi|P_n psi> - <psi|P_n X_m psi>, over i hbar,
+    each product vector the old expression's bits and each inner product
+    within the bound of its exact sum. 32^3 keeps the exact sums quick;
+    tests/test_blocks.py runs the spectral matrix at 64^3."""
+    grid = make_uniform_grid(3, 32, 8.0, hbar=0.7)
+    psi = gaussian_3d(grid, sigmas=(0.9, 1.1, 0.7))
     kept = np.array(psi.values)
     v = psi.values
-    old = np.zeros((3, 3), dtype=np.complex128)
+    got = commutator_expectation_matrix(psi, backend=backend)
     for n in range(3):
         p_n = momentum_operator(grid, n, backend=backend)
         p_psi = _old_apply(p_n, v, grid, "position")
         for m in range(3):
-            x_m = position_operator(grid, m)
-            comm = _old_apply(x_m, p_psi, grid, "position") \
-                - _old_apply(p_n, _old_apply(x_m, v, grid, "position"), grid, "position")
-            old[m, n] = complex(_old_inner(v, comm, grid)) / (1j * grid.hbar)
-    assert _same_bits(commutator_expectation_matrix(psi, backend=backend), old)
+            x_psi = _old_apply(position_operator(grid, m), v, grid, "position")
+            xp, xp_bound = exact_inner(x_psi, p_psi, grid)
+            px, px_bound = exact_inner(v, _old_apply(p_n, x_psi, grid, "position"), grid)
+            old = complex(xp - px) / (1j * grid.hbar)
+            bound = (xp_bound + px_bound) / grid.hbar + 4.0 * 2.0**-53 * abs(old)
+            assert abs(got[m, n] - old) <= bound, (m, n)
     assert _same_bits(psi.values, kept)
 
 
@@ -263,20 +305,46 @@ def test_uncopied_values_get_the_constructor_checks():
             psi._with_fresh(bad)
 
 
-def test_commutator_matrix_keeps_three_states_alive():
-    """psi, P_n psi, one work buffer and the commutator: three arrays besides
-    the caller's state. An out-of-place inverse FFT, or an inner product with
-    a conjugate product of its own, would make it four."""
-    grid = make_uniform_grid(3, 64, 8.0)
-    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
-    commutator_expectation_matrix(psi)  # numpy's FFT plan cache fills on the first call
+def _traced_peak(call):
+    call()  # numpy's FFT plan cache fills on the first call
     tracemalloc.start()
     try:
-        commutator_expectation_matrix(psi)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * psi.values.nbytes
+
+
+def test_commutator_matrix_keeps_three_states_alive():
+    """psi, P_n psi and one buffer that holds X_m psi and then, after an
+    in-place spectral derivative, P_n X_m psi: two arrays besides the
+    caller's state. A fresh spectrum, or an inner product with a conjugate
+    product of its own, would make it three. The finite-difference P_n adds
+    its one fresh difference array; two np.roll copies made it four."""
+    grid = make_uniform_grid(3, 64, 8.0)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    state = psi.values.nbytes
+    assert _traced_peak(lambda: commutator_expectation_matrix(psi)) < 2.5 * state
+    assert _traced_peak(lambda: commutator_expectation_matrix(
+        psi, backend="finite_difference")) < 3.5 * state
+
+
+def test_commutator_apply_keeps_two_states_besides_psi():
+    """B psi turns into AB psi in place, A psi into BA psi, and BA psi is
+    subtracted in place from AB psi; the result is one of the two arrays."""
+    grid = make_uniform_grid(3, 64, 8.0)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    for axis in range(3):
+        x_op, p_op = position_operator(grid, axis), momentum_operator(grid, axis)
+        peak = _traced_peak(lambda: commutator_apply(x_op, p_op, psi))
+        assert peak < 2.5 * psi.values.nbytes, axis
+
+
+def test_vector_uncertainty_check_keeps_one_state_besides_psi():
+    grid = make_uniform_grid(3, 64, 8.0)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    peak = _traced_peak(lambda: vector_uncertainty_check(psi, mode="saturation"))
+    assert peak < 1.5 * psi.values.nbytes
 
 
 @pytest.mark.parametrize("n_trunc", [2, 9, 64, 257])

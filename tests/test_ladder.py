@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,27 @@ def test_build_arrays_frozen():
     system = build(16)
     with pytest.raises(ValueError):
         system.energy[0, 0] = 1.0
+
+
+def test_build_keeps_its_fresh_matrices_without_a_copy():
+    """build hands its four fresh matrices over as they are; the product
+    and the sum that form the number operator set the peak at five. Copying
+    them doubled the four kept, a peak of eight."""
+    build(512)
+    tracemalloc.start()
+    try:
+        system = build(512)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = system.energy.nbytes
+    assert kept < 4.1 * matrix and peak < 5.5 * matrix
+    # an outside caller's arrays are still copied, and frozen
+    lowering = np.array(system.lowering)
+    mine = LadderSystem(n_trunc=512, omega=1.0, hbar=1.0, lowering=lowering,
+                        energy=system.energy, time=system.time, number=system.number)
+    assert not np.shares_memory(mine.lowering, lowering) and lowering.flags.writeable
+    assert not mine.lowering.flags.writeable
 
 
 def test_ladder_algebra_identities():

@@ -1,4 +1,5 @@
 import importlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -173,11 +174,19 @@ def test_hermiticity_slack_is_relative_to_the_operator_scale():
     values = gaussian(grid, sigma=1.0).values
     with pytest.raises(PreconditionError, match="not real"):
         moments_module._moments_of(values, 1j * values, grid)
-    # a Hermitian operator at a large scale keeps its relative rounding
+    # an imaginary residue of 1e8 at |A psi| ~ 7e19: far above the slack in
+    # absolute terms, yet 1e-12 of the operator scale, so it is accepted
+    x = grid.coordinate(0)
+    scaled = 1e20 * (x * values + 1e-12j * values)
+    m = moments_module._moments_of(values, scaled, grid)
+    assert 1e7 < m.mean_imag_residue < 1e-10 * math.sqrt(m.second)
+    assert m.spread > 0.0
+    # the same operator with a residue of 1e-9 of its scale is not Hermitian
+    with pytest.raises(PreconditionError, match="not real"):
+        moments_module._moments_of(values, 1e20 * (x * values + 1e-9j * values), grid)
+    # a Hermitian operator at a large scale ends in its moments
     x_op, p_op = _ops(make_uniform_grid(1, 64, 8.0, hbar=1e50))
-    psi = gaussian(x_op.grid, sigma=1.0)
-    assert moments(psi, p_op).mean_imag_residue > 1e-10
-    assert moments(psi, p_op).spread > 0.0
+    assert moments(gaussian(x_op.grid, sigma=1.0), p_op).spread > 0.0
 
 
 def test_uncertainty_bound_nan_violation_fails(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -29,12 +30,41 @@ def test_every_check_id_has_a_citation():
     assert all(c.tolerance >= 0.0 and math.isfinite(c.tolerance) for c in CHECKS.values())
 
 
+def _moved_values(old_json, new_json):
+    """One line per value that moved between two JSON reports, old -> new:
+    each check's residual, verdict and other fields, and each context key."""
+    old = {r["check_id"]: r for r in json.loads(old_json)}
+    new = {r["check_id"]: r for r in json.loads(new_json)}
+    lines = [f"{cid}: {'added' if cid in new else 'removed'}" for cid in sorted(old.keys() ^ new.keys())]
+    for cid in sorted(old.keys() & new.keys()):
+        for where, a, b in (("", old[cid], new[cid]),
+                            ("context.", old[cid]["context"], new[cid]["context"])):
+            for key in sorted(a.keys() | b.keys()):
+                if key != "context" and a.get(key) != b.get(key):
+                    lines.append(f"{cid} {where}{key}: {a.get(key)!r} -> {b.get(key)!r}")
+    return "\n".join(lines) or "no value moved; the bytes differ in layout"
+
+
+def test_moved_values_names_each_change():
+    old = json.dumps([{"check_id": "a", "residual": 0.0, "pass": True, "context": {"n": 1, "m": 2}},
+                      {"check_id": "b", "residual": 1.0, "pass": True, "context": {}}])
+    new = json.dumps([{"check_id": "a", "residual": 4e-16, "pass": False, "context": {"n": 1, "m": 3}},
+                      {"check_id": "c", "residual": 1.0, "pass": True, "context": {}}])
+    assert _moved_values(old, new).splitlines() == [
+        "b: removed", "c: added", "a pass: True -> False", "a residual: 0.0 -> 4e-16",
+        "a context.m: 2 -> 3"]
+    assert _moved_values(old, old) == "no value moved; the bytes differ in layout"
+
+
 def test_default_json_is_byte_identical_to_the_golden_copy():
     # data/default_all.json holds `qpb verify all --format json` at the
     # default config; a change that moves any residual's bits must say which
-    # and why, and refresh the copy
+    # and why, and refresh the copy. On failure the message lists each moved
+    # value, old -> new.
     golden = Path(__file__).with_name("data") / "default_all.json"
-    assert emit_report(run_suite(SuiteConfig()), "json").encode() == golden.read_bytes()
+    got = emit_report(run_suite(SuiteConfig()), "json").encode()
+    expected = golden.read_bytes()
+    assert got == expected, "moved values:\n" + _moved_values(expected, got)
 
 
 def test_suite_names_cover_builders_plus_all():
