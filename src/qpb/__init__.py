@@ -33,7 +33,7 @@ from .kk import (
     pv_quadrature,
     pv_quadrature_all,
 )
-from .ladder import LadderSystem, build as build_ladder, energy_time_product
+from .ladder import LadderSystem, build as build_ladder
 from .moments import Moments, moments, saturation_check, uncertainty_check, vector_uncertainty_check
 from .operators import (
     GridOperator,
@@ -88,7 +88,6 @@ __all__ = [
     "conjugate_gaussian_pair",
     "corollary_residual_momentum",
     "emit_report",
-    "energy_time_product",
     "gaussian",
     "gaussian_3d",
     "hilbert_spectral",

@@ -4,10 +4,14 @@ The lowering matrix b has b[m-1, m] = sqrt(m). The Hermitian pair
 
     H = omega * (hbar * (b + b*) / sqrt(2))      T = (1 / omega) * (b - b*) / (i sqrt(2))
 
-is realized from the letters H and T of qpb.symbolic.matrices.letter_matrices,
+is read from the letters b, H and T of qpb.symbolic.matrices.letter_matrices,
 whose grouping makes frequency covariance a bitwise float identity: scaling
-omega rescales H by omega and T by 1/omega with no other change. Their
-commutator at truncation N is
+omega rescales H by omega and T by 1/omega with no other change. Each letter
+has only its first off-diagonals and is kept as letter_matrices returns it, a
+(2, n_trunc - 1) band; the number operator b*b + 1/2 is kept as its diagonal.
+The checks compute on these bands, so no n_trunc x n_trunc array is formed
+except the protected blocks that eigh needs. Their commutator at truncation N
+is
 
     [H, T] = i hbar [b, b*] = i hbar diag(1, ..., 1, -(N-1))
 
@@ -21,21 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    PreconditionError,
-    ProtectedRangeError,
-)
+from .errors import ConfigurationError, ProtectedRangeError
 from .report import CheckReport, make_report, worst
-from .symbolic import OperatorPoly, letter_matrices, matrix_realize
-
-
-_MATRICES = ("lowering", "energy", "time", "number")
+from .symbolic import letter_matrices
 
 
 @dataclass(frozen=True)
 class LadderSystem:
+    """b, H and T as bands (row 0 the superdiagonal M[j, j+1], row 1 the
+    subdiagonal M[j+1, j]) and the number operator as its diagonal, each a
+    read-only complex copy."""
+
     n_trunc: int
     omega: float
     hbar: float
@@ -45,72 +45,84 @@ class LadderSystem:
     number: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self._keep(**{name: np.asarray(getattr(self, name), dtype=np.complex128).copy()
-                      for name in _MATRICES})
+        for name in ("lowering", "energy", "time", "number"):
+            array = np.asarray(getattr(self, name), dtype=np.complex128).copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def _keep(self, **matrices: np.ndarray) -> None:
-        """Store complex matrices that no one else holds, read-only."""
-        for name, m in matrices.items():
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
 
-    @classmethod
-    def _with_fresh(cls, n_trunc: int, omega: float, hbar: float,
-                    **matrices: np.ndarray) -> "LadderSystem":
-        """The constructor without the copies, for complex matrices that the
-        caller has just built and holds no other reference to."""
-        system = object.__new__(cls)
-        for name, value in (("n_trunc", n_trunc), ("omega", omega), ("hbar", hbar)):
-            object.__setattr__(system, name, value)
-        system._keep(**matrices)
-        return system
+def _adjoint(band: np.ndarray) -> np.ndarray:
+    return band[::-1].conj()
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Diagonals 0, +2 and -2 of AB, the only ones it has, for A and B given
+    as bands: AB[i, i] = A[i, i-1] B[i-1, i] + A[i, i+1] B[i+1, i], AB[i, i+2]
+    = A[i, i+1] B[i+1, i+2] and AB[i+2, i] = A[i+2, i+1] B[i+1, i]."""
+    (a_up, a_lo), (b_up, b_lo) = a, b
+    diagonal = np.zeros(a.shape[1] + 1, dtype=np.result_type(a, b))
+    diagonal[1:] = a_lo * b_up
+    diagonal[:-1] += a_up * b_lo
+    return [diagonal, a_up[:-1] * b_up[1:], a_lo[1:] * b_lo[:-1]]
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Diagonals 0, +2 and -2 of AB - BA for the bands A and B."""
+    return [x - y for x, y in zip(_band_product(a, b), _band_product(b, a))]
+
+
+def _protected(diagonals: list[np.ndarray]) -> np.ndarray:
+    """Entries of diagonals 0, +2 and -2 (as _band_product orders them) that
+    lie in the protected block, rows and columns 0..n_trunc - 2."""
+    return np.concatenate([d[:-1] for d in diagonals])
+
+
+def _grading_defect(number: np.ndarray, band: np.ndarray, shift: float) -> np.ndarray:
+    """|N A - A N - shift A| entry by entry over 1 + |N||A| + |A||N|, for the
+    diagonal N and the band A, where N A and A N scale A's rows and columns."""
+    left = np.stack([number[:-1], number[1:]])
+    right = left[::-1]
+    defect = left * band - band * right - shift * band
+    abs_band = np.abs(band)
+    return np.abs(defect) / (1.0 + np.abs(left) * abs_band + abs_band * np.abs(right))
 
 
 def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSystem:
     if n_trunc < 4:
         raise ConfigurationError("ladder truncation below 4 leaves nothing to check")
-    energy = matrix_realize(OperatorPoly.letter("H"), n_trunc, hbar, omega)
-    time = matrix_realize(OperatorPoly.letter("T"), n_trunc, hbar, omega)
-    b = np.diag(letter_matrices(n_trunc, hbar, omega)["b"][0], k=1)
-    number = b.conj().T @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128)
-    return LadderSystem._with_fresh(n_trunc, omega, hbar,
-                                    lowering=b, energy=energy, time=time, number=number)
-
-
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
-
-
-def _commutator_defect(defect: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|defect| of an identity for AB - BA, entry by entry over 1 + |A||B| + |B||A|.
-
-    The computed products obey |fl(AB) - AB| <= gamma_n |A||B| componentwise
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.5),
-    so rounding alone leaves a few units of roundoff here at any truncation,
-    while the entries of AB grow like n_trunc^1.5.
-    """
-    abs_a, abs_b = np.abs(a), np.abs(b)
-    return np.abs(defect) / (1.0 + abs_a @ abs_b + abs_b @ abs_a)
+    letters = letter_matrices(n_trunc, hbar, omega)
+    b = letters["b"]
+    number = _band_product(_adjoint(b), b)[0] + 0.5
+    return LadderSystem(n_trunc, omega, hbar, lowering=b, energy=letters["H"],
+                        time=letters["T"], number=number)
 
 
 def check_ladder_algebra(system: LadderSystem) -> CheckReport:
     """Defining relations at truncation: [b, b*] = 1 away from the corner,
     and the number operator shifts b and b* by -1 and +1 everywhere. Each
-    relation's defect is measured relative to its rounding bound."""
+    relation's defect is measured entry by entry relative to its rounding
+    bound 1 + |A||B| + |B||A|: the computed products obey |fl(AB) - AB| <=
+    gamma_n |A||B| componentwise (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., §3.5), so rounding alone leaves a few units of
+    roundoff here at any truncation, while the entries of AB grow like
+    n_trunc^1.5."""
     b = system.lowering
-    bd = b.conj().T
-    number = system.number
+    bd = _adjoint(b)
     n = system.n_trunc
-    comm = b @ bd - bd @ b
-    protected = slice(0, n - 1)
+    comm = _commutator(b, bd)
+    corner = float(comm[0][n - 1].real)
+    comm[0] -= 1.0
+    abs_b, abs_bd = np.abs(b), np.abs(bd)
+    bound = [1.0 + x + y for x, y in zip(_band_product(abs_b, abs_bd),
+                                         _band_product(abs_bd, abs_b))]
     resid = worst([
-        np.max(_commutator_defect(comm - np.eye(n), b, bd)[protected, protected]),
-        np.max(_commutator_defect(number @ b - b @ number + b, number, b)),
-        np.max(_commutator_defect(number @ bd - bd @ number - bd, number, bd)),
+        np.max(_protected([np.abs(d) / s for d, s in zip(comm, bound)])),
+        np.max(_grading_defect(system.number, b, -1.0)),
+        np.max(_grading_defect(system.number, bd, 1.0)),
     ])
     return make_report("ladder_algebra", resid, context={
         "n_trunc": n,
-        "corner_entry": float(comm[n - 1, n - 1].real),
+        "corner_entry": corner,
         "residual_scaling": "entrywise, relative to 1 + |A||B| + |B||A|",
     })
 
@@ -119,79 +131,42 @@ def ht_commutator_residual(system: LadderSystem) -> CheckReport:
     """[H, T] = i hbar away from the truncation corner, measured relative to
     hbar: H carries the factor hbar, so its rounding does too."""
     n = system.n_trunc
-    comm = system.energy @ system.time - system.time @ system.energy
-    target = 1j * system.hbar * np.eye(n)
-    protected = slice(0, n - 1)
-    defect = np.abs(comm - target) / system.hbar
-    resid = _max_abs(defect[protected, protected])
-    return make_report("ladder_ht_commutator", resid, context={
+    comm = _commutator(system.energy, system.time)
+    comm[0] -= 1j * system.hbar
+    defect = [np.abs(d) / system.hbar for d in comm]
+    return make_report("ladder_ht_commutator", float(np.max(_protected(defect))), context={
         "n_trunc": n,
         "omega": system.omega,
         "hbar": system.hbar,
-        "corner_defect": float(defect[n - 1, n - 1]),
+        "corner_defect": float(defect[0][n - 1]),
         "residual_scaling": "relative to hbar",
     })
 
 
-def _phase_fixed_columns(matrix: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component of significant size is real
-    and positive; pins the arbitrary eigenvector phase."""
-    out = matrix.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col))))
-        pivot = col[idx]
-        out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
-
-
-@dataclass(frozen=True)
-class EigenstateRepresentation:
-    times: np.ndarray
-    energies: np.ndarray
-    phi: np.ndarray
-    chi: np.ndarray
-
-
-def _eigenbases(system: LadderSystem, m_max: int):
-    """eigh of T and of H on the protected (n_trunc - 1) block, once: both
-    eigenvector matrices as eigh returns them, and number states 0..m_max
-    over the phase-fixed bases."""
-    block = slice(0, system.n_trunc - 1)
-    times, u_t = np.linalg.eigh(system.time[block, block])
-    energies, u_h = np.linalg.eigh(system.energy[block, block])
-    fixed_t, fixed_h = _phase_fixed_columns(u_t), _phase_fixed_columns(u_h)
-    return u_t, u_h, [EigenstateRepresentation(times, energies, fixed_t[m, :].conj(),
-                                               fixed_h[m, :].conj()) for m in range(m_max + 1)]
-
-
-def eigenstate_representations(system: LadderSystem, m: int) -> EigenstateRepresentation:
-    """Number state m expanded over the time and energy eigenbases of the
-    protected (n_trunc - 1) block: phi[j] and chi[j] are its components on
-    the j-th time and energy eigenvector in ascending eigenvalue order."""
-    n = system.n_trunc
-    if not 0 <= m <= n - 2:
-        raise ProtectedRangeError(
-            f"basis index {m} outside the protected block 0..{n - 2}")
-    return _eigenbases(system, m)[2][m]
+def _protected_block(band: np.ndarray) -> np.ndarray:
+    """The band's matrix on rows and columns 0..n_trunc - 2, as a dense array."""
+    m = band.shape[1]
+    block = np.zeros((m, m), dtype=np.complex128)
+    flat = block.reshape(-1)
+    flat[1::m + 1] = band[0, :-1]
+    flat[m::m + 1] = band[1, :-1]
+    return block
 
 
 def eigenstate_overlap_check(system: LadderSystem, m_max: int = 4) -> CheckReport:
     """Unitarity of the energy-time basis change on the protected block, and
-    unit norm of the first few number states in both representations."""
+    unit norm of the first few number states in both representations: number
+    state m has components u[m, j] on the j-th eigenvector of the block."""
     n = system.n_trunc
     if m_max > n - 2:
         raise ProtectedRangeError(f"m_max {m_max} outside the protected block")
-    u_t, u_h, reps = _eigenbases(system, m_max)
+    u_t = np.linalg.eigh(_protected_block(system.time))[1]
+    u_h = np.linalg.eigh(_protected_block(system.energy))[1]
     overlap = u_h.conj().T @ u_t
-    eye = np.eye(n - 1)
-    resid = _max_abs(overlap.conj().T @ overlap - eye)
-    norm_defects = []
-    for rep in reps:
-        norm_defects.append(abs(float(np.sum(np.abs(rep.phi) ** 2)) - 1.0))
-        norm_defects.append(abs(float(np.sum(np.abs(rep.chi) ** 2)) - 1.0))
-    resid = worst([resid] + norm_defects)
-    return make_report("ladder_eigenstate_overlap", resid, context={
+    resid = float(np.max(np.abs(overlap.conj().T @ overlap - np.eye(n - 1))))
+    norm_defects = [abs(float(np.sum(np.abs(u[m]) ** 2)) - 1.0)
+                    for m in range(m_max + 1) for u in (u_t, u_h)]
+    return make_report("ladder_eigenstate_overlap", worst([resid] + norm_defects), context={
         "n_trunc": n,
         "m_max": m_max,
     })
@@ -211,37 +186,10 @@ def scaling_exact_check(n_trunc: int = 64, hbar: float = 1.0,
         sys_w = build(n_trunc, omega, hbar)
         ok = ok and np.array_equal(sys_w.energy, omega * base.energy)
         ok = ok and np.array_equal(sys_w.time, (1.0 / omega) * base.time)
-        ok = ok and np.array_equal(sys_w.energy, sys_w.energy.conj().T)
-        ok = ok and np.array_equal(sys_w.time, sys_w.time.conj().T)
+        ok = ok and np.array_equal(sys_w.energy, _adjoint(sys_w.energy))
+        ok = ok and np.array_equal(sys_w.time, _adjoint(sys_w.time))
     return make_report("ladder_scaling_exact", 0.0 if ok else 1.0, context={
         "n_trunc": n_trunc,
         "hbar": hbar,
         "omegas": list(omegas),
     })
-
-
-def energy_time_product(system: LadderSystem, coeffs: np.ndarray) -> dict:
-    """Spread product and commutator expectation for a state on the number
-    basis. The last basis state must be unoccupied; then the second moments
-    and the commutator expectation are exact despite truncation."""
-    v = np.asarray(coeffs, dtype=np.complex128)
-    if v.shape != (system.n_trunc,):
-        raise ConfigurationError("coefficient vector length must equal n_trunc")
-    if abs(v[-1]) > 0.0:
-        raise PreconditionError(
-            "states touching the last basis state see the truncation corner")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise DegenerateStateError("cannot take moments of a zero state")
-    v = v / norm
-    out = {}
-    for name, op in (("energy", system.energy), ("time", system.time)):
-        w = op @ v
-        mean = float(np.real(np.vdot(v, w)))
-        second = float(np.real(np.vdot(w, w)))
-        out[f"delta_{name}"] = float(np.sqrt(max(second - mean * mean, 0.0)))
-    comm = system.energy @ (system.time @ v) - system.time @ (system.energy @ v)
-    out["commutator_expectation"] = complex(np.vdot(v, comm))
-    out["product"] = out["delta_energy"] * out["delta_time"]
-    out["bound"] = 0.5 * abs(out["commutator_expectation"])
-    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .grids import UniformGrid, WaveFunction, inner_product, inner_product_block, norm_block
+from .grids import UniformGrid, WaveFunction, inner_product_block, norm_block
 from .operators import (
     GridOperator,
     apply,
@@ -34,10 +34,6 @@ HERMITICITY_SLACK = 1e-10
 def _require_normalized(values: np.ndarray, grid: UniformGrid) -> None:
     if not np.all(np.abs(norm_block(values, grid) - 1.0) <= NORMALIZATION_SLACK):
         raise PreconditionError("moments are defined for normalized states")
-
-
-def expectation(psi: WaveFunction, op: GridOperator) -> complex:
-    return inner_product(psi, apply(op, psi))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -94,10 +94,11 @@ FD_RATIO_FLOOR = 3.5
 # grid samples: 64 states at 256 points, 16 at 1024
 BLOCK_SAMPLES = 2**14
 # one memory budget bounds the size of a single array: a dense n_trunc x
-# n_trunc complex128 matrix (ladder, weyl's oracle), or 64 complex128 arrays
-# of n_points samples, more than a 1D check keeps alive. It bounds neither a
-# run's peak memory (several matrices are alive at once) nor its time
-# (ladder's eigh calls and dense products grow as n_trunc^3)
+# n_trunc complex128 matrix (weyl's oracle, ladder's protected blocks), or 64
+# complex128 arrays of n_points samples, more than a 1D check keeps alive. It
+# bounds neither a run's peak memory (several matrices are alive at once) nor
+# its time (weyl's dense products and ladder's two eigh calls grow as
+# n_trunc^3)
 MEMORY_BUDGET_BYTES = 64 * 2**20
 MAX_N_TRUNC = math.isqrt(MEMORY_BUDGET_BYTES // 16)
 MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
@@ -509,19 +510,16 @@ def _ladder_checks(cfg: SuiteConfig) -> list[CheckReport]:
             system = build(cfg.n_trunc, omega, hbar)
             algebra_reports.append(check_ladder_algebra(system))
             ht_reports.append(ht_commutator_residual(system))
-    r_algebra = _fold("ladder_algebra", algebra_reports, cfg.tol("ladder_algebra"),
-                      extra={"omegas": omegas, "hbars": hbars, "n_trunc": cfg.n_trunc})
-    r_ht = _fold("ladder_ht_commutator", ht_reports, cfg.tol("ladder_ht_commutator"),
-                 extra={"omegas": omegas, "hbars": hbars, "n_trunc": cfg.n_trunc})
+    sweep = {"omegas": omegas, "hbars": hbars, "n_trunc": cfg.n_trunc}
+    r_algebra = _fold("ladder_algebra", algebra_reports, cfg.tol("ladder_algebra"), extra={
+        **sweep, "corner_entries": [r.context["corner_entry"] for r in algebra_reports]})
+    r_ht = _fold("ladder_ht_commutator", ht_reports, cfg.tol("ladder_ht_commutator"), extra={
+        **sweep, "corner_defects": [r.context["corner_defect"] for r in ht_reports]})
 
-    system = build(cfg.n_trunc, cfg.omega, cfg.hbar)
-    r_overlap = _fold("ladder_eigenstate_overlap",
-                      [eigenstate_overlap_check(system, m_max=4)],
-                      cfg.tol("ladder_eigenstate_overlap"))
-    r_scaling = _fold("ladder_scaling_exact",
-                      [scaling_exact_check(cfg.n_trunc, cfg.hbar)],
-                      cfg.tol("ladder_scaling_exact"))
-    return [r_algebra, r_ht, r_overlap, r_scaling]
+    r_overlap = eigenstate_overlap_check(build(cfg.n_trunc, cfg.omega, cfg.hbar), m_max=4)
+    r_scaling = scaling_exact_check(cfg.n_trunc, cfg.hbar)
+    return [r_algebra, r_ht] + [replace(r, tolerance=cfg.tol(r.check_id))
+                                for r in (r_overlap, r_scaling)]
 
 
 _BUILDERS = {

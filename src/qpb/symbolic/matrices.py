@@ -50,8 +50,8 @@ def letter_matrices(n_trunc: int, hbar_value: float,
 
 @lru_cache(maxsize=8)
 def _letter_bands(n_trunc: int, hbar_value: float, omega: float) -> dict[str, np.ndarray]:
-    """letter_matrices frozen read-only. weyl uses one entry, ladder.build one
-    per system and only while building it, so the live one is never evicted."""
+    """letter_matrices frozen read-only, for matrix_realize. weyl uses one
+    entry per run, so the live one is never evicted."""
     bands = letter_matrices(n_trunc, hbar_value, omega)
     for band in bands.values():
         band.flags.writeable = False
@@ -68,8 +68,6 @@ def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
     scaled slice updates. 64 entries hold every word weyl's oracle realizes
     (61: the 31 words of degree <= 4 and the 45 normal-ordered words of
     degree <= 8 share 15), and at MAX_N_TRUNC stay below one dense matrix.
-    ladder.build's (), ("H",) and ("T",) serve one system each, so they are
-    the least recently used entries by the time weyl's oracle needs room.
     """
     d = len(word)
     band = np.zeros((2 * d + 1, n_trunc), dtype=np.complex128)

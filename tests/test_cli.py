@@ -159,6 +159,23 @@ def test_values_just_inside_the_power_bounds_end_in_a_verdict(argv, tmp_path):
     assert main(["verify", *argv, "--format", "json", "--out", str(tmp_path / "r.json")]) in (0, 1)
 
 
+def test_ladder_json_records_the_truncation_corner(tmp_path):
+    # [b, b*] reads -(N-1) at the corner and [H, T] misses i hbar there by
+    # N hbar, in every case of the omega x hbar sweep
+    out = tmp_path / "r.json"
+    assert main(["verify", "ladder", "--n-trunc", "16", "--format", "json",
+                 "--out", str(out)]) == 0
+    rows = {row["check_id"]: row for row in json.loads(out.read_text())}
+    algebra = rows["ladder_algebra"]["context"]
+    ht = rows["ladder_ht_commutator"]["context"]
+    assert algebra["n_cases"] == ht["n_cases"] == 6
+    assert algebra["corner_entries"] == pytest.approx([-15.0] * 6, rel=1e-14)
+    assert ht["corner_defects"] == pytest.approx([16.0] * 6, rel=1e-14)
+    assert rows["ladder_eigenstate_overlap"]["context"] == {"n_trunc": 16, "m_max": 4}
+    assert rows["ladder_scaling_exact"]["context"] == {
+        "n_trunc": 16, "hbar": 1.0, "omegas": [0.5, 2.0, 3.0]}
+
+
 def test_large_scales_end_in_a_verdict(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     # ladder_ht_commutator is relative to hbar, so hbar = 1e5 passes

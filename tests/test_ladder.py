@@ -4,73 +4,93 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dense_ladder
+from dense_ladder import dense
 from dense_letters import dense_letters
-from qpb import ladder
-from qpb.errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    PreconditionError,
-    ProtectedRangeError,
-)
+from qpb.errors import ConfigurationError, ProtectedRangeError
 from qpb.ladder import (
-    LadderSystem,
     build,
     check_ladder_algebra,
     eigenstate_overlap_check,
-    eigenstate_representations,
-    energy_time_product,
     ht_commutator_residual,
     scaling_exact_check,
 )
 
 N = 64
+# the (hbar, omega) pairs the band and dense forms are compared at
+PAIRS = ((1.0, 1.0), (0.3, 2.0), (1e-3, 0.25), (1e5, 7.5))
 
 
 def test_build_shapes_and_hermiticity():
     system = build(N, omega=2.0, hbar=0.5)
-    assert system.energy.shape == (N, N)
-    assert np.max(np.abs(system.energy - system.energy.conj().T)) == 0.0
-    assert np.max(np.abs(system.time - system.time.conj().T)) < 1e-15
+    for band in (system.lowering, system.energy, system.time):
+        assert band.shape == (2, N - 1)
+    assert system.number.shape == (N,)
+    energy, time = dense(system.energy), dense(system.time)
+    assert np.max(np.abs(energy - energy.conj().T)) == 0.0
+    assert np.max(np.abs(time - time.conj().T)) < 1e-15
     assert system.omega == 2.0 and system.hbar == 0.5
 
 
 @pytest.mark.parametrize("n_trunc", [4, 9, 64, 257])
 def test_build_is_bit_equal_to_the_dense_letters(n_trunc):
-    for hbar, omega in ((1.0, 1.0), (0.3, 2.0), (1e-3, 0.25), (1e5, 7.5)):
+    for hbar, omega in PAIRS:
         system = build(n_trunc, omega, hbar)
-        dense = dense_letters(n_trunc, hbar, omega)
+        letters = dense_letters(n_trunc, hbar, omega)
         for field, name in (("lowering", "b"), ("energy", "H"), ("time", "T")):
             got = getattr(system, field)
+            want = np.stack([np.diag(letters[name], k=1), np.diag(letters[name], k=-1)])
             # raw bits, so even the signs of zeros agree
-            assert got.shape == dense[name].shape, (field, hbar, omega)
-            assert got.tobytes() == dense[name].tobytes(), (field, hbar, omega)
+            assert got.shape == want.shape, (field, hbar, omega)
+            assert got.tobytes() == want.tobytes(), (field, hbar, omega)
+        b = letters["b"]
+        number = np.diag(b.conj().T @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128))
+        assert system.number.tobytes() == number.tobytes(), (hbar, omega)
 
 
 def test_build_arrays_frozen():
     system = build(16)
     with pytest.raises(ValueError):
         system.energy[0, 0] = 1.0
-
-
-def test_build_keeps_its_fresh_matrices_without_a_copy():
-    """build hands its four fresh matrices over as they are; the product
-    and the sum that form the number operator set the peak at five. Copying
-    them doubled the four kept, a peak of eight."""
-    build(512)
-    tracemalloc.start()
-    try:
-        system = build(512)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    matrix = system.energy.nbytes
-    assert kept < 4.1 * matrix and peak < 5.5 * matrix
-    # an outside caller's arrays are still copied, and frozen
+    # an outside caller's arrays are copied, and frozen
     lowering = np.array(system.lowering)
-    mine = LadderSystem(n_trunc=512, omega=1.0, hbar=1.0, lowering=lowering,
-                        energy=system.energy, time=system.time, number=system.number)
+    mine = replace(system, lowering=lowering)
     assert not np.shares_memory(mine.lowering, lowering) and lowering.flags.writeable
     assert not mine.lowering.flags.writeable
+
+
+def test_band_checks_allocate_no_dense_matrix():
+    """build and the three band checks keep O(n_trunc) arrays: at 2048 one
+    dense complex matrix is 64 MiB, and all of them together peak below 4 MiB."""
+    build(2048)
+    tracemalloc.start()
+    try:
+        system = build(2048)
+        check_ladder_algebra(system)
+        ht_commutator_residual(system)
+        scaling_exact_check(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n_trunc", [4, 9, 64, 257])
+def test_band_residuals_match_the_dense_products(n_trunc):
+    """Every product entry the algebra check forms has one nonzero term, so
+    it keeps the dense bits. [H, T] sums two, in another order than BLAS;
+    two such computations of a defect differ by at most 4 eps (|H||T| +
+    |T||H|) / hbar (Higham, 2nd ed., §3.5)."""
+    eps = np.finfo(np.float64).eps
+    for hbar, omega in PAIRS:
+        system = build(n_trunc, omega, hbar)
+        report = check_ladder_algebra(system)
+        assert (report.residual, report.context["corner_entry"]) == \
+            dense_ladder.ladder_algebra(system), (hbar, omega)
+        report = ht_commutator_residual(system)
+        resid, corner, scale = dense_ladder.ht_commutator(system)
+        assert abs(report.residual - resid) <= 4 * eps * scale, (hbar, omega)
+        assert abs(report.context["corner_defect"] - corner) <= 4 * eps * scale, (hbar, omega)
 
 
 def test_ladder_algebra_identities():
@@ -84,8 +104,8 @@ def test_ladder_algebra_identities():
 def test_number_operator_grades_ladder():
     # [K, b] = -b and [K, b+] = +b+ hold on the full truncated matrices
     system = build(32)
-    K = system.number
-    b = system.lowering
+    K = np.diag(system.number)
+    b = dense(system.lowering)
     bd = b.conj().T
     assert np.max(np.abs(K @ b - b @ K + b)) < 1e-13
     assert np.max(np.abs(K @ bd - bd @ K - bd)) < 1e-13
@@ -105,9 +125,10 @@ def test_ht_commutator_is_relative_to_hbar(hbar):
     system = build(N, 1.0, hbar)
     report = ht_commutator_residual(system)
     assert report.passed and report.residual < 1e-13
-    # D = delta E_11 adds delta * T_1j to row 1 of [H, T], and max |T_1j| = 1
+    # D = delta E_01 (superdiagonal entry 0) adds delta * (T_10 E_00 + T_12 E_02
+    # - T_10 E_11) to [H, T]; at omega 1, |T_10| = 1/sqrt(2) and |T_12| = 1
     energy = np.array(system.energy)
-    energy[1, 1] += 1e-9 * hbar
+    energy[0, 0] += 1e-9 * hbar
     report = ht_commutator_residual(replace(system, energy=energy))
     assert not report.passed
     assert report.residual == pytest.approx(1e-9, rel=1e-3)
@@ -119,15 +140,9 @@ def test_eigenstate_overlap_unitary_change_of_basis():
     assert report.residual < 1e-10
 
 
-def test_eigenstate_representations_phase_fixed():
-    system = build(N)
-    rep = eigenstate_representations(system, 0)
-    k = np.argmax(np.abs(rep.phi) > 1e-12)
-    assert rep.phi[k].real > 0.0
-    assert abs(rep.phi[k].imag) < 1e-12
-    assert rep.energies.shape == (N - 1,)
+def test_eigenstate_overlap_rejects_states_beyond_the_protected_block():
     with pytest.raises(ProtectedRangeError):
-        eigenstate_representations(system, N - 1)
+        eigenstate_overlap_check(build(8), m_max=7)
 
 
 def test_energy_time_pair_reconstructs_ladder_operator():
@@ -148,15 +163,29 @@ def test_omega_scaling_is_bitwise():
     assert np.array_equal(scaled.time, base.time / 3.0)
 
 
+def _energy_time_product(system, v):
+    """Delta H * Delta T and <[H, T]> on the number-basis state v, normalized."""
+    energy, time = dense(system.energy), dense(system.time)
+    v = v / np.linalg.norm(v)
+    spreads = []
+    for op in (energy, time):
+        w = op @ v
+        mean = np.vdot(v, w).real
+        spreads.append(np.sqrt(max(np.vdot(w, w).real - mean * mean, 0.0)))
+    comm = energy @ (time @ v) - time @ (energy @ v)
+    return spreads[0] * spreads[1], complex(np.vdot(v, comm))
+
+
 def test_energy_time_product_exact_bound():
+    # a state that leaves the last basis state empty never sees the corner,
+    # so <[H, T]> = i hbar and Delta H Delta T >= hbar / 2 hold exactly
     system = build(N)
-    # ground plus first excited, last coefficient zero: moments are exact
     v = np.zeros(N, dtype=complex)
     v[0] = 1.0
     v[1] = 1.0
-    out = energy_time_product(system, v)
-    assert out["commutator_expectation"] == pytest.approx(1j, abs=1e-12)
-    assert out["product"] >= out["bound"] - 1e-12
+    product, comm = _energy_time_product(system, v)
+    assert comm == pytest.approx(1j, abs=1e-12)
+    assert product >= 0.5 * abs(comm) - 1e-12
 
 
 def test_energy_time_product_random_truncated_states():
@@ -166,19 +195,8 @@ def test_energy_time_product_random_truncated_states():
         v = np.zeros(N, dtype=complex)
         head = rng.normal(size=N // 2) + 1j * rng.normal(size=N // 2)
         v[: N // 2] = head
-        out = energy_time_product(system, v)
-        assert out["product"] >= out["bound"] - 1e-8
-
-
-def test_energy_time_product_guards():
-    system = build(16)
-    touching = np.ones(16, dtype=complex)
-    with pytest.raises(PreconditionError):
-        energy_time_product(system, touching)
-    with pytest.raises(DegenerateStateError):
-        energy_time_product(system, np.zeros(16, dtype=complex))
-    with pytest.raises(ConfigurationError):
-        energy_time_product(system, np.ones(8, dtype=complex))
+        product, comm = _energy_time_product(system, v)
+        assert product >= 0.5 * abs(comm) - 1e-8
 
 
 def test_build_validates_parameters():
@@ -188,12 +206,6 @@ def test_build_validates_parameters():
         build(N, omega=-1.0)
     with pytest.raises(ConfigurationError):
         build(N, hbar=0.0)
-
-
-def _with_number(system, number):
-    return LadderSystem(n_trunc=system.n_trunc, omega=system.omega, hbar=system.hbar,
-                        lowering=system.lowering, energy=system.energy,
-                        time=system.time, number=number)
 
 
 @pytest.mark.parametrize("n_trunc", [192, 512])
@@ -209,8 +221,8 @@ def test_ladder_algebra_scale_aware_at_large_truncation(n_trunc):
 def test_ladder_algebra_detects_a_small_defect_in_number(n_trunc, index):
     system = build(n_trunc)
     number = np.array(system.number)
-    number[index, index] += 1e-9
-    report = check_ladder_algebra(_with_number(system, number))
+    number[index] += 1e-9
+    report = check_ladder_algebra(replace(system, number=number))
     assert not report.passed
 
 
@@ -218,21 +230,22 @@ def test_ladder_algebra_nan_fails():
     # the NaN reaches the second and third relation, which Python's max dropped
     system = build(N)
     number = np.array(system.number)
-    number[N // 2, N // 2] = np.nan
-    report = check_ladder_algebra(_with_number(system, number))
+    number[N // 2] = np.nan
+    report = check_ladder_algebra(replace(system, number=number))
     assert np.isnan(report.residual)
     assert not report.passed
 
 
 def test_eigenstate_overlap_nan_norm_defect_fails(monkeypatch):
-    original = ladder._eigenbases
+    # number state 2 gets a NaN component on one eigenvector of each basis
+    eigh = np.linalg.eigh
 
-    def spoiled(system, m_max):
-        u_t, u_h, reps = original(system, m_max)
-        reps[2] = replace(reps[2], chi=reps[2].chi * np.nan)
-        return u_t, u_h, reps
+    def spoiled(block):
+        values, vectors = eigh(block)
+        vectors[2, 0] = np.nan
+        return values, vectors
 
-    monkeypatch.setattr(ladder, "_eigenbases", spoiled)
+    monkeypatch.setattr(np.linalg, "eigh", spoiled)
     report = eigenstate_overlap_check(build(N), m_max=4)
     assert np.isnan(report.residual)
     assert not report.passed
