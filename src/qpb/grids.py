@@ -72,7 +72,10 @@ class UniformGrid:
 
     def axis_points(self) -> np.ndarray:
         """Sample positions along one axis: -L, -L+spacing, ..., L-spacing."""
-        return -self.half_extent + self.spacing * np.arange(self.n_points)
+        pts = np.arange(self.n_points, dtype=np.float64)
+        pts *= self.spacing
+        pts += -self.half_extent
+        return pts
 
     def coordinate(self, axis: int = 0) -> np.ndarray:
         """Coordinate values along `axis`, shaped to broadcast against sample arrays."""

@@ -45,8 +45,13 @@ class LadderSystem:
     number: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("lowering", "energy", "time", "number"):
+        band, diagonal = (2, self.n_trunc - 1), (self.n_trunc,)
+        for name, shape in (("lowering", band), ("energy", band), ("time", band),
+                            ("number", diagonal)):
             array = np.asarray(getattr(self, name), dtype=np.complex128).copy()
+            if array.shape != shape:
+                raise ConfigurationError(
+                    f"LadderSystem.{name} must have shape {shape}, got {array.shape}")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 

@@ -84,15 +84,21 @@ def momentum_operator(grid: UniformGrid, axis: int = 0, backend: str = "spectral
 def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int,
                          out: np.ndarray | None = None) -> np.ndarray:
     """d/dx_axis of values by FFT; both FFTs run in place in `out` when given
-    (it may be `values` itself), else in one fresh array."""
-    w = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-    mult = 1j * w
-    mult[grid.n_points // 2] = 0.0  # Nyquist must not leak into odd derivatives
+    (it may be `values` itself), else in one fresh array. The multiplier i w
+    is applied as w, then i, so its only temporary is one real array."""
+    n = grid.n_points
+    # w = 2 pi np.fft.fftfreq(n, spacing), bit for bit, built in place
+    w = np.arange(n, dtype=np.float64)
+    w[(n - 1) // 2 + 1:] -= n
+    w *= 1.0 / (n * grid.spacing)
+    w *= 2.0 * math.pi
+    w[n // 2] = 0.0  # Nyquist must not leak into odd derivatives
     shape = [1] * grid.dim
-    shape[axis] = grid.n_points
+    shape[axis] = n
     axis -= grid.dim
     spectrum = np.fft.fft(values, axis=axis, out=out)
-    spectrum *= mult.reshape(shape)
+    spectrum *= w.reshape(shape)
+    spectrum *= 1j
     return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 

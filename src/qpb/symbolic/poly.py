@@ -11,7 +11,9 @@ falsifiable instead of true by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, zip_longest
+from math import gcd
 
 import numpy as np
 
@@ -22,6 +24,10 @@ _REGISTER_OF = {"X": "XP", "P": "XP", "H": "HT", "T": "HT"}
 _ORDER = {"X": 0, "P": 1, "H": 0, "T": 1}
 
 SYMMETRIZE_DEGREE_BOUND = 10
+# holds all 511 patterns of up to 8 letters: weyl's products of two degree-4
+# draws and their prefixes
+_ORDERING_CACHE_SIZE = 512
+_ORDERING_PREFIX = 16
 
 
 def _register_of_word(word: tuple[str, ...]) -> str | None:
@@ -46,6 +52,40 @@ def _accumulate(table: dict, key, value: HbarPoly) -> None:
         table.pop(key, None)
     else:
         table[key] = s
+
+
+def _pattern(word: tuple[str, ...]) -> tuple[int, ...]:
+    """Letter-order pattern of a word: 0 for A, 1 for B."""
+    return tuple([_ORDER[letter] for letter in word])
+
+
+@lru_cache(maxsize=_ORDERING_CACHE_SIZE)
+def _ordering(orders: tuple[int, ...]) -> tuple[int, ...]:
+    """Normal-ordering counts of a letter-order pattern (0 for A, 1 for B):
+    entry m is the number n_m of ways to make m contractions, so a word of
+    that pattern with a A's and b B's equals the sum over m of
+    n_m (-i*hbar)^m A^(a-m) B^(b-m); entry 0 is always 1.
+
+    Grown from the counts of the pattern's prefix by one left-to-right step:
+    a B on the right changes no count, and an A on the right is moved past the
+    B^j of entry m (j the B's read so far, less m) by
+    B^j A = A B^j - j i*hbar B^(j-1), which adds j n_m to entry m + 1. A
+    pattern longer than _ORDERING_PREFIX grows letter by letter from its
+    memoized prefix of that length, so the recursion stays shallow.
+    """
+    if not orders:
+        return (1,)
+    cut = len(orders) - 1 if len(orders) <= _ORDERING_PREFIX else _ORDERING_PREFIX
+    counts, n_b = _ordering(orders[:cut]), sum(orders[:cut])
+    for order in orders[cut:]:
+        if order:
+            n_b += 1
+            continue
+        step = list(counts) + [0]
+        for m, n in enumerate(counts):
+            step[m + 1] += (n_b - m) * n
+        counts = tuple(step if step[-1] else step[:-1])
+    return counts
 
 
 class OperatorPoly:
@@ -148,36 +188,24 @@ class OperatorPoly:
         """Rewrite every word with all first-register letters A before all
         second-register letters B, using BA = AB - i*hbar.
 
-        Each word is read left to right into a table (i, j) -> n of integer
-        counts of A^i B^j: a B on the right raises j, and an A on the right is
-        moved past B^j by B^j A = A B^j - j i*hbar B^(j-1), so it raises i and
-        adds j n to (i, j-1). O(d^2) int work for a word of length d; each
-        entry then takes the word's coefficient times n (-i*hbar)^m once, with
-        m = (d - i - j) / 2 contractions (Blasiak et al., Am. J. Phys. 75
-        (2007), arXiv:0704.3116). The result is kept, so later calls, and
-        __eq__, __hash__ and is_zero, reuse it.
+        A word with a A's and b B's becomes the sum over m of n_m (-i*hbar)^m
+        A^(a-m) B^(b-m), with the integer counts n_m of its ways to make m
+        contractions read from _ordering (memoized per letter-order pattern).
+        Each entry takes the word's coefficient times n_m (-i*hbar)^m once
+        (Blasiak et al., Am. J. Phys. 75 (2007), arXiv:0704.3116). The result
+        is kept, so later calls, and __eq__, __hash__ and is_zero, reuse it.
         """
         if self._normal is not None:
             return self._normal
         out: dict[tuple[str, ...], HbarPoly] = {}
         first, second = self.register or "XP"  # no register: only the empty word
         for word, coeff in self._terms.items():
-            table = {(0, 0): 1}
-            for letter in word:
-                step: dict[tuple[int, int], int] = {}
-                if _ORDER[letter]:
-                    for (i, j), n in table.items():
-                        step[i, j + 1] = n
-                else:
-                    for (i, j), n in table.items():
-                        step[i + 1, j] = step.get((i + 1, j), 0) + n
-                        if j:
-                            step[i, j - 1] = step.get((i, j - 1), 0) + j * n
-                table = step
-            for (i, j), n in table.items():
-                m = (len(word) - i - j) // 2
-                _accumulate(out, (first,) * i + (second,) * j,
-                            coeff if n == 1 and not m else coeff.times_neg_i_hbar_power(n, m))
+            orders = _pattern(word)
+            n_b = sum(orders)
+            n_a = len(word) - n_b
+            for m, n in enumerate(_ordering(orders)):
+                _accumulate(out, (first,) * (n_a - m) + (second,) * (n_b - m),
+                            coeff if not m else coeff.times_neg_i_hbar_power(n, m))
         nf = OperatorPoly._of_terms(out, self.register)
         nf._normal = self._normal = nf
         return nf
@@ -208,9 +236,36 @@ class OperatorPoly:
 
 
 def commutator_poly(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
-    """[a, b] = a b - b a, normal ordered after the full product so the
-    relation BA = AB - i*hbar is exercised rather than assumed."""
-    return (a * b - b * a).normal_form()
+    """[a, b] = a b - b a in normal form, rewritten with BA = AB - i*hbar
+    rather than assumed.
+
+    For each pair of terms c1 w1 and c2 w2, the counts of w2 w1 are
+    subtracted from those of w1 w2 (both from _ordering), so the
+    contraction-free counts cancel as integers, and c1 c2 (-i*hbar)^m times
+    each surviving difference n_m lands on A^(a-m) B^(b-m); no product
+    polynomial is built. The result is its own normal form.
+    """
+    a._check_register(b)
+    register = a.register or b.register
+    first, second = register or "XP"
+    out: dict[tuple[str, ...], HbarPoly] = {}
+    b_terms = [(_pattern(w2), c2) for w2, c2 in b._terms.items()]
+    for w1, c1 in a._terms.items():
+        o1 = _pattern(w1)
+        for o2, c2 in b_terms:
+            t12, t21 = _ordering(o1 + o2), _ordering(o2 + o1)
+            if t12 == t21:
+                continue
+            n_b = sum(o1) + sum(o2)
+            n_a = len(o1) + len(o2) - n_b
+            c = c1 * c2
+            for m, (n12, n21) in enumerate(zip_longest(t12, t21, fillvalue=0)):
+                if n12 != n21:
+                    _accumulate(out, (first,) * (n_a - m) + (second,) * (n_b - m),
+                                c.times_neg_i_hbar_power(n12 - n21, m))
+    nf = OperatorPoly._of_terms(out, register)
+    nf._normal = nf
+    return nf
 
 
 def weyl_symmetrize(word: tuple[str, ...], bound: int = SYMMETRIZE_DEGREE_BOUND) -> OperatorPoly:
@@ -267,10 +322,12 @@ def random_operator_poly(rng: np.random.Generator, max_degree: int = 4,
         word = tuple(letters[int(i)] for i in rng.integers(0, 2, size=length))
         num = int(rng.integers(-6, 7))
         den = int(rng.integers(1, 5))
-        re = Fraction(num, den)
-        im = Fraction(int(rng.integers(-3, 4)), 2)
+        half_im = int(rng.integers(-3, 4))
         hbar_pow = int(rng.integers(0, 2))
-        coeff = HbarPoly.term(GaussianRational(re, im), hbar_pow)
+        # num/den + (half_im/2) i over the lcm of den and 2
+        d = den * 2 // gcd(den, 2)
+        value = GaussianRational._reduced(num * (d // den), half_im * (d // 2), d)
+        coeff = HbarPoly.term(value, hbar_pow)
         prev = terms.get(word)
         terms[word] = coeff if prev is None else prev + coeff
     return OperatorPoly(terms)

@@ -44,7 +44,7 @@ from qpb.operators import (
     momentum_operator,
     position_operator,
 )
-from qpb.states import _band_basis, gaussian_3d, random_band_limited
+from qpb.states import _band_basis, gaussian, gaussian_3d, random_band_limited
 from qpb.symbolic.matrices import _letter_bands
 from qpb.transforms import reciprocal_grid, transform_block
 
@@ -338,6 +338,20 @@ def test_commutator_apply_keeps_two_states_besides_psi():
         x_op, p_op = position_operator(grid, axis), momentum_operator(grid, axis)
         peak = _traced_peak(lambda: commutator_apply(x_op, p_op, psi))
         assert peak < 2.5 * psi.values.nbytes, axis
+
+
+def test_commutator_apply_on_a_long_1d_state_keeps_half_a_state_of_temporaries():
+    """Besides AB psi and one inner result, each step holds one real array
+    built in place (X's coordinates, or P's frequencies) and numpy's fixed
+    cast buffer for a real-times-complex product: 2.63 states on a 1D
+    65536-point state. A complex frequency multiplier and its real factor
+    made it 3.63."""
+    grid = make_uniform_grid(1, 65536, 64.0)
+    psi = gaussian(grid, sigma=1.0)
+    x_op, p_op = position_operator(grid), momentum_operator(grid)
+    peak = _traced_peak(lambda: commutator_apply(x_op, p_op, psi))
+    cast_buffer = np.getbufsize() * psi.values.itemsize
+    assert peak < 2.5 * psi.values.nbytes + cast_buffer + 4096
 
 
 def test_vector_uncertainty_check_keeps_one_state_besides_psi():

@@ -59,6 +59,18 @@ def test_build_arrays_frozen():
     assert not mine.lowering.flags.writeable
 
 
+def test_fields_of_the_wrong_shape_name_the_field():
+    """A dense matrix of the old API, or a band of another truncation, ends
+    in a configuration error that names the field, before any check runs."""
+    system = build(8)
+    for name, bad in (("energy", dense(system.energy)), ("time", system.time[:, :-1]),
+                      ("lowering", system.lowering[0]), ("number", dense(system.energy))):
+        with pytest.raises(ConfigurationError, match=f"LadderSystem.{name} "):
+            replace(system, **{name: bad})
+    with pytest.raises(ConfigurationError, match="LadderSystem.lowering "):
+        replace(system, n_trunc=9)
+
+
 def test_band_checks_allocate_no_dense_matrix():
     """build and the three band checks keep O(n_trunc) arrays: at 2048 one
     dense complex matrix is 64 MiB, and all of them together peak below 4 MiB."""

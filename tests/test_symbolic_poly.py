@@ -12,10 +12,12 @@ from qpb.symbolic import (
     HbarPoly,
     OperatorPoly,
     commutator_poly,
+    poly_of,
     random_operator_poly,
     taylor_operator,
     weyl_symmetrize,
 )
+from qpb.symbolic.poly import _ordering
 
 X = OperatorPoly.letter("X")
 P = OperatorPoly.letter("P")
@@ -107,6 +109,75 @@ def test_normal_form_equals_rational_table_reading_in_order(register):
     for _ in range(200):
         p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
         assert ordered(p.normal_form().terms()) == ordered(rational_table_normal_form(p).items())
+
+
+def fraction_built_draw(rng: np.random.Generator, max_degree: int, n_terms: int,
+                        register: str) -> OperatorPoly:
+    """random_operator_poly as it built each coefficient from two Fractions,
+    kept as the reference for its integer draws."""
+    letters = tuple(register)
+    terms: dict = {}
+    for _ in range(n_terms):
+        length = int(rng.integers(0, max_degree + 1))
+        word = tuple(letters[int(i)] for i in rng.integers(0, 2, size=length))
+        re = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+        im = Fraction(int(rng.integers(-3, 4)), 2)
+        coeff = HbarPoly.term(GaussianRational(re, im), int(rng.integers(0, 2)))
+        prev = terms.get(word)
+        terms[word] = coeff if prev is None else prev + coeff
+    return OperatorPoly(terms)
+
+
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_random_operator_poly_equals_the_fraction_built_draws(register):
+    for seed in range(10):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
+            q = fraction_built_draw(reference, max_degree=8, n_terms=4, register=register)
+            assert ordered(p.terms()) == ordered(q.terms())
+        # the same generator calls, so every later draw is unchanged too
+        assert rng.integers(1 << 62) == reference.integers(1 << 62)
+
+
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_commutator_equals_the_normal_form_of_the_products(register):
+    """Exact coefficients against (a b - b a).normal_form(), the route through
+    product polynomials. The term order follows from the inputs alone: a cold
+    and a warm cache give the same terms in the same order."""
+    _ordering.cache_clear()
+    runs = []
+    for _ in range(2):
+        rng = np.random.default_rng(41)
+        run = []
+        for _ in range(100):
+            a = random_operator_poly(rng, max_degree=8, n_terms=3, register=register)
+            b = random_operator_poly(rng, max_degree=8, n_terms=3, register=register)
+            c = commutator_poly(a, b)
+            via_products = (a * b - b * a).normal_form()
+            assert dict(c.terms()) == dict(via_products.terms())
+            assert c.register == via_products.register
+            assert c.normal_form() is c
+            run.append(ordered(c.terms()))
+        runs.append(run)
+    assert runs[0] == runs[1]
+
+
+def test_ordering_cache_is_bounded_and_long_words_still_normal_order():
+    _ordering.cache_clear()
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        a = random_operator_poly(rng, max_degree=8, n_terms=3)
+        b = random_operator_poly(rng, max_degree=8, n_terms=3)
+        commutator_poly(a, b)
+    info = _ordering.cache_info()
+    assert info.misses > info.maxsize == info.currsize == 512
+    # degree 12 after the cache filled, then words past the memoized prefix
+    for text in ("(P X)^6", "P^3 X^2 P X^4 P X", "(P X P)^4", "(P X)^20", "P^3 X^30 P X"):
+        p = poly_of(text)
+        assert ordered(p.normal_form().terms()) == ordered(rational_table_normal_form(p).items())
+    nf = poly_of("P X^3000").normal_form()
+    assert nf == poly_of("X^3000 P - 3000*i*hbar X^2999")
 
 
 def test_normal_form_is_kept_and_is_its_own():
