@@ -56,12 +56,13 @@ from .states import (
     random_band_limited,
 )
 from .symbolic import (
+    band_product,
     commutator_poly,
     matrix_realize,
     parse_expression,
     poly_of,
     print_expression,
-    protected_slice,
+    protected_defect,
     random_operator_poly,
     weyl_symmetrize,
     taylor_operator,
@@ -84,7 +85,6 @@ N_TRANSFORM_STATES = 100
 N_BOUND_STATES = 500
 N_ORACLE_DRAWS = 200
 ORACLE_TERM_DEGREE = 4
-N_ORACLE_PROBES = 4
 # weyl_matrix_oracle realizes products of two draws, and a degree-d product
 # is only checked on the nonempty protected block of n_trunc - d states
 WEYL_MIN_N_TRUNC = 2 * ORACLE_TERM_DEGREE + 1
@@ -94,11 +94,12 @@ FD_RATIO_FLOOR = 3.5
 # grid samples: 64 states at 256 points, 16 at 1024
 BLOCK_SAMPLES = 2**14
 # one memory budget bounds the size of a single array: a dense n_trunc x
-# n_trunc complex128 matrix (weyl's oracle, ladder's protected blocks), or 64
-# complex128 arrays of n_points samples, more than a 1D check keeps alive. It
-# bounds neither a run's peak memory (several matrices are alive at once) nor
-# its time (weyl's dense products and ladder's two eigh calls grow as
-# n_trunc^3)
+# n_trunc complex128 matrix, or 64 complex128 arrays of n_points samples, more
+# than a 1D check keeps alive. Ladder's overlap check (two eigh calls and two
+# products on its protected blocks) holds the only n_trunc^2 arrays and is the
+# only cubic cost; weyl keeps its matrices as bands of at most
+# 4 ORACLE_TERM_DEGREE + 1 diagonals. It bounds neither a run's peak memory
+# nor its time
 MEMORY_BUDGET_BYTES = 64 * 2**20
 MAX_N_TRUNC = math.isqrt(MEMORY_BUDGET_BYTES // 16)
 MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
@@ -396,40 +397,34 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
                        context={"max_degree": 6})
 
     rng = np.random.default_rng(cfg.seed)
-    # Freivalds' check: each identity is compared on seeded complex Gaussian
-    # probes cut to its protected block, O(n_trunc^2) per draw; the probes'
-    # own generator leaves the drawn polynomials as they are
-    probes = np.random.default_rng([cfg.seed, 1]).standard_normal(
-        (cfg.n_trunc, 2 * N_ORACLE_PROBES)).view(np.complex128)
+    n = cfg.n_trunc
     residuals = []
     for _ in range(N_ORACLE_DRAWS):
         a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
         b = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
-        deg = a.total_degree() + b.total_degree()
-        m_a = matrix_realize(a, cfg.n_trunc, cfg.hbar)
-        m_b = matrix_realize(b, cfg.n_trunc, cfg.hbar)
-        s = protected_slice(cfg.n_trunc, max(deg, 1))
-        w = probes[s]  # only the protected columns meet nonzero probe rows
-        abw = m_a @ (m_b[:, s] @ w)
-        direct = abw[s] - m_b[s] @ (m_a[:, s] @ w)
-        symbolic = matrix_realize(commutator_poly(a, b), cfg.n_trunc, cfg.hbar)[s, s] @ w
-        sa = protected_slice(cfg.n_trunc, max(a.total_degree(), 1))
-        aw = m_a[:, sa] @ probes[sa]
-        nf = matrix_realize(a.normal_form(), cfg.n_trunc, cfg.hbar)[sa, sa] @ probes[sa]
-        # commutator entries cancel to ~eps of the A(BW) intermediates, so the
+        m_a = matrix_realize(a, n, cfg.hbar)
+        m_b = matrix_realize(b, n, cfg.hbar)
+        symbolic = matrix_realize(commutator_poly(a, b), n, cfg.hbar)
+        nf = matrix_realize(a.normal_form(), n, cfg.hbar)
+        ab = band_product(m_a, m_b)
+        direct = ab - band_product(m_b, m_a)
+        # commutator entries cancel to ~eps of the products' entries, so the
         # defensible scale is the product magnitude, not the block magnitude
         residuals += [
-            float(np.max(np.abs(symbolic - direct))) / (1.0 + float(np.max(np.abs(abw)))),
-            float(np.max(np.abs(nf - aw[sa]))) / (1.0 + float(np.max(np.abs(aw)))),
+            protected_defect(symbolic, direct, max(a.total_degree() + b.total_degree(), 1))
+            / (1.0 + float(np.max(np.abs(ab)))),
+            protected_defect(nf, m_a, max(a.total_degree(), 1))
+            / (1.0 + float(np.max(np.abs(m_a)))),
         ]
     r_oracle = make_report(
         "weyl_matrix_oracle", worst(residuals), cfg.tol("weyl_matrix_oracle"),
-        context={"n_draws": N_ORACLE_DRAWS, "n_trunc": cfg.n_trunc,
-                 "max_term_degree": ORACLE_TERM_DEGREE, "n_probes": N_ORACLE_PROBES,
-                 "residual_scaling": "max |(C W - A B W + B A W)[protected rows]| over "
-                                     "1 + max |A (B W)|, W the probes on the protected "
-                                     "block; normal form N: max |(N W - A W)[protected "
-                                     "rows]| over 1 + max |A W|"})
+        context={"n_draws": N_ORACLE_DRAWS, "n_trunc": n,
+                 "max_term_degree": ORACLE_TERM_DEGREE,
+                 "residual_scaling": "max |C - (A B - B A)| over every entry of the "
+                                     "protected block, over 1 + max |A B|; normal form "
+                                     "N: max |N - A| over its protected block, over "
+                                     "1 + max |A|; A B and B A the band products of "
+                                     "the truncated matrices"})
 
     canonical = [
         "X P - P X",

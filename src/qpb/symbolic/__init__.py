@@ -17,8 +17,10 @@ from .expr import (
     to_poly,
 )
 from .matrices import (
+    band_product,
     letter_matrices,
     matrix_realize,
+    protected_defect,
     protected_slice,
 )
 from .poly import (
@@ -42,12 +44,14 @@ __all__ = [
     "Sum",
     "Sym",
     "WeylS",
+    "band_product",
     "commutator_poly",
     "letter_matrices",
     "matrix_realize",
     "parse_expression",
     "poly_of",
     "print_expression",
+    "protected_defect",
     "protected_slice",
     "random_operator_poly",
     "taylor_operator",

@@ -9,7 +9,8 @@ b with b[m-1, m] = sqrt(m):
 Both pairs satisfy [A, B] = i hbar on every basis state except the last, so a
 product of words of total degree d is exact in the first n_trunc - d rows and
 in the first n_trunc - d columns; the truncation leaks in only where both the
-row and the column lie beyond them.
+row and the column lie beyond them. Realizations, their products and their
+comparisons stay in band storage, so none forms an n_trunc x n_trunc array.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
     Grown from the band of word[:-1] by the last letter's two shifted,
     scaled slice updates. 64 entries hold every word weyl's oracle realizes
     (61: the 31 words of degree <= 4 and the 45 normal-ordered words of
-    degree <= 8 share 15), and at MAX_N_TRUNC stay below one dense matrix.
+    degree <= 8 share 15), at most 657 band rows: 21 MB at n_trunc 2048.
     """
     d = len(word)
     band = np.zeros((2 * d + 1, n_trunc), dtype=np.complex128)
@@ -84,14 +85,14 @@ def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
 
 def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
                    omega: float = 1.0) -> np.ndarray:
-    """Sum of word products with coefficients evaluated at hbar_value.
+    """Band storage of the sum of word products, with coefficients evaluated
+    at hbar_value: for k = p.total_degree(), band[k + s, j] = M[j - s, j] for
+    s = -k..k, zero where j - s lies off the matrix.
 
     A letter has only its first off-diagonals, so a word of length d touches
     diagonals -d..d. Each word's product is kept in band storage by
-    _word_band (memoized, so a word met again costs nothing); its rows are
-    weighted into rows k - d .. k + d of a total with band[k + s, j] =
-    M[j - s, j] (k the total degree), in term order, and each row of the
-    total is written once through a strided view of the dense diagonal.
+    _word_band (memoized, so a word met again costs nothing), and its rows
+    are weighted into rows k - d .. k + d of the total, in term order.
 
     Entry (i, j) of a word of length d sums paths of d unit steps from i to
     j, and truncation drops only the paths that reach n_trunc, which needs
@@ -106,14 +107,38 @@ def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
         d = len(word)
         total[k - d:k + d + 1] += coeff.evaluate(hbar_value) * _word_band(
             word, n_trunc, hbar_value, omega)
-    dense = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    flat, step = dense.reshape(-1), n_trunc + 1
-    for s in range(-min(k, n_trunc - 1), min(k, n_trunc - 1) + 1):
-        if s >= 0:  # diagonal s: M[j - s, j] for j = s .. n_trunc - 1
-            flat[s:(n_trunc - s) * n_trunc:step] = total[k + s, s:]
-        else:
-            flat[-s * n_trunc::step] = total[k + s, :n_trunc + s]
-    return dense
+    return total
+
+
+def band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Band of the truncated product AB, for A and B in matrix_realize's band
+    storage: one shifted multiply-add per diagonal of B.
+
+    AB[j - s, j] sums A[j - s, j - t] B[j - t, j] over B's diagonals t, and
+    A's factor is a[ka + s - t, j - t] (ka, kb the half-widths of a and b).
+    A term whose middle index j - t lies off the matrix is absent, exactly as
+    in the dense product of the truncated matrices.
+    """
+    ka, kb, n = len(a) // 2, len(b) // 2, a.shape[1]
+    out = np.zeros((2 * (ka + kb) + 1, n), dtype=np.result_type(a, b))
+    for t in range(-min(kb, n - 1), min(kb, n - 1) + 1):
+        lo, hi = max(t, 0), n + min(t, 0)
+        out[kb + t:kb + t + 2 * ka + 1, lo:hi] += a[:, lo - t:hi - t] * b[kb + t, lo:hi]
+    return out
+
+
+def protected_defect(x: np.ndarray, y: np.ndarray, degree: int) -> float:
+    """max |X[i, j] - Y[i, j]| over the block protected_slice(n_trunc,
+    degree) x protected_slice(n_trunc, degree), for X and Y in band storage
+    of any half-widths. A NaN on the block is returned as NaN."""
+    keep = protected_slice(x.shape[1], degree).stop
+    kx, ky = len(x) // 2, len(y) // 2
+    k = max(kx, ky)
+    diff = np.zeros((2 * k + 1, keep), dtype=np.result_type(x, y))
+    diff[k - kx:k + kx + 1] = x[:, :keep]
+    diff[k - ky:k + ky + 1] -= y[:, :keep]
+    rows = np.arange(keep) - np.arange(-k, k + 1)[:, None]  # row of entry (k + s, j)
+    return float(np.max(np.abs(diff), where=(rows >= 0) & (rows < keep), initial=0.0))
 
 
 def protected_slice(n_trunc: int, degree: int) -> slice:

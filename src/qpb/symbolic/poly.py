@@ -312,22 +312,22 @@ def taylor_operator(table: dict[tuple[int, int], object],
 def random_operator_poly(rng: np.random.Generator, max_degree: int = 4,
                          n_terms: int = 4, register: str = "XP") -> OperatorPoly:
     """Small random polynomial with rational coefficients, for seeded
-    cross-checks against matrix realizations."""
+    cross-checks against matrix realizations.
+
+    One generator call draws every term's length, real numerator and
+    denominator, doubled imaginary part and hbar power, and one more draws
+    all the letters; each coefficient is num/den + (half_im/2) i."""
     if register not in ("XP", "HT"):
         raise ConfigurationError("register must be 'XP' or 'HT'")
     letters = tuple(register)
+    fields = rng.integers([0, -6, 1, -3, 0], [max_degree + 1, 7, 5, 4, 2], size=(n_terms, 5))
+    picks = rng.integers(0, 2, size=int(fields[:, 0].sum())).tolist()
     terms: dict[tuple[str, ...], HbarPoly] = {}
-    for _ in range(n_terms):
-        length = int(rng.integers(0, max_degree + 1))
-        word = tuple(letters[int(i)] for i in rng.integers(0, 2, size=length))
-        num = int(rng.integers(-6, 7))
-        den = int(rng.integers(1, 5))
-        half_im = int(rng.integers(-3, 4))
-        hbar_pow = int(rng.integers(0, 2))
-        # num/den + (half_im/2) i over the lcm of den and 2
-        d = den * 2 // gcd(den, 2)
+    end = 0
+    for length, num, den, half_im, hbar_pow in fields.tolist():
+        word = tuple([letters[i] for i in picks[end:end + length]])
+        end += length
+        d = den * 2 // gcd(den, 2)  # the lcm of den and 2
         value = GaussianRational._reduced(num * (d // den), half_im * (d // 2), d)
-        coeff = HbarPoly.term(value, hbar_pow)
-        prev = terms.get(word)
-        terms[word] = coeff if prev is None else prev + coeff
-    return OperatorPoly(terms)
+        _accumulate(terms, word, HbarPoly.term(value, hbar_pow))
+    return OperatorPoly._of_terms(terms, register)

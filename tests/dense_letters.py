@@ -1,10 +1,12 @@
-"""The dense ladder letters, as qpb built them before letter_matrices kept
-only their two nonzero diagonals.
+"""Dense oracles for the band storage of qpb.symbolic.matrices: the ladder
+letters as qpb built them before letter_matrices kept only their two nonzero
+diagonals, words multiplied out as chains of dense matmuls, and the scatter
+of a band into its n_trunc x n_trunc matrix.
 
 Every matrix is a full n_trunc x n_trunc array formed from the dense lowering
-matrix with the same grouping of scalars. The band builder, matrix_realize
-and ladder.build are held to these matrices, bit for bit where the tests say
-so.
+matrix with the same grouping of scalars. The band builder, matrix_realize,
+band_product and ladder.build are held to these matrices, bit for bit where
+the tests say so.
 """
 
 import numpy as np
@@ -24,3 +26,35 @@ def dense_letters(n_trunc, hbar_value, omega=1.0):
         "H": omega * (hbar_value * sym),
         "T": (1.0 / omega) * anti,
     }
+
+
+def dense_realize(p, n_trunc, hbar_value, omega=1.0):
+    """Word products as chains of dense matmuls from the identity; also returns
+    the entrywise sum of |coeff| |L1|...|Ld| that bounds their rounding."""
+    letters = dense_letters(n_trunc, hbar_value, omega)
+    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
+    magnitude = np.zeros((n_trunc, n_trunc))
+    for word, coeff in p.terms():
+        m = np.eye(n_trunc, dtype=np.complex128)
+        mag = np.eye(n_trunc)
+        for letter in word:
+            m = m @ letters[letter]
+            mag = mag @ np.abs(letters[letter])
+        c = coeff.evaluate(hbar_value)
+        total += c * m
+        magnitude += abs(c) * mag
+    return total, magnitude
+
+
+def dense_of_band(band):
+    """The n_trunc x n_trunc matrix M of a band with band[k + s, j] =
+    M[j - s, j]; entries whose row j - s lies off the matrix are dropped."""
+    k, n_trunc = len(band) // 2, band.shape[1]
+    dense = np.zeros((n_trunc, n_trunc), dtype=band.dtype)
+    flat, step = dense.reshape(-1), n_trunc + 1
+    for s in range(-min(k, n_trunc - 1), min(k, n_trunc - 1) + 1):
+        if s >= 0:  # diagonal s: M[j - s, j] for j = s .. n_trunc - 1
+            flat[s:(n_trunc - s) * n_trunc:step] = band[k + s, s:]
+        else:
+            flat[-s * n_trunc::step] = band[k + s, :n_trunc + s]
+    return dense

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from dense_letters import dense_of_band, dense_realize
 from qpb.grids import WaveFunction, make_uniform_grid
 from qpb.kk import AnalyticSignal, hilbert_spectral, kk_residual, phase_equivalence, \
     pole_family, pv_quadrature, pv_quadrature_all
@@ -142,12 +143,13 @@ def test_criterion_07_weyl_exact_algebra():
     for _ in range(200):
         a = random_operator_poly(rng, max_degree=4, n_terms=3)
         b = random_operator_poly(rng, max_degree=4, n_terms=3)
-        m_a = matrix_realize(a, 64, 1.0)
-        m_b = matrix_realize(b, 64, 1.0)
+        # the commutator's band against dense word products of the draws
+        m_a, _ = dense_realize(a, 64, 1.0)
+        m_b, _ = dense_realize(b, 64, 1.0)
         prod = m_a @ m_b
         s_ = protected_slice(64, max(a.total_degree() + b.total_degree(), 1))
         direct = (prod - m_b @ m_a)[s_, s_]
-        symbolic = matrix_realize(commutator_poly(a, b), 64, 1.0)[s_, s_]
+        symbolic = dense_of_band(matrix_realize(commutator_poly(a, b), 64, 1.0))[s_, s_]
         oracle = max(oracle, float(np.max(np.abs(symbolic - direct)))
                      / (1.0 + float(np.max(np.abs(prod)))))
     elapsed = time.perf_counter() - t0

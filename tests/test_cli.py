@@ -7,6 +7,7 @@ import pytest
 
 from qpb import cli
 from qpb.cli import main
+from qpb.suites import MAX_N_TRUNC
 
 PKG = [sys.executable, "-m", "qpb"]
 
@@ -186,3 +187,33 @@ def test_large_scales_end_in_a_verdict(tmp_path, capsys):
     # to zero; that is still reported as a degenerate state, not as a non-real <A>
     assert main(["verify", "uncertainty", "--half-extent", "1e100"]) == 2
     assert "cannot normalize" in capsys.readouterr().err
+
+
+# Run ARGV... with stdout to OUT, and print its exit code, CPU seconds and
+# ru_maxrss (KiB), read with os.wait4. Linux carries a process's RSS high-water
+# mark into its child's ru_maxrss at exec, so the measured child is spawned
+# from this bare interpreter rather than from the test process.
+MEASURE = """
+import json, os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    proc = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss]))
+"""
+
+
+def test_weyl_at_the_largest_truncation_stays_within_its_cpu_and_memory(tmp_path):
+    """weyl keeps every matrix as a band, so at MAX_N_TRUNC it takes about a
+    second and stays near the interpreter's own footprint (1.1 s CPU and
+    54 MB on a 2-vCPU x86_64 VM; dense products took 26 s and 240 MB)."""
+    out = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", MEASURE, str(out), *PKG, "verify", "weyl",
+                           "--n-trunc", str(MAX_N_TRUNC), "--format", "json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, cpu_s, maxrss_kib = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert all(row["pass"] for row in json.loads(out.read_text()))
+    assert cpu_s <= 4.0
+    assert maxrss_kib <= 96 * 1024

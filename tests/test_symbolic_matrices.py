@@ -1,24 +1,32 @@
 import numpy as np
 import pytest
 
-from dense_letters import dense_letters
+from dense_letters import dense_letters, dense_of_band, dense_realize
 from qpb.errors import ConfigurationError
 from qpb.symbolic.matrices import _letter_bands, _word_band
 from qpb.symbolic import (
     OperatorPoly,
+    band_product,
     commutator_poly,
     letter_matrices,
     matrix_realize,
     poly_of,
+    protected_defect,
     protected_slice,
     random_operator_poly,
 )
 
 N = 32
+EPS = np.finfo(np.float64).eps
+
+
+def realized(p, n_trunc, hbar_value, omega=1.0):
+    """matrix_realize's band scattered to its dense matrix."""
+    return dense_of_band(matrix_realize(p, n_trunc, hbar_value, omega))
 
 
 def realized_letters(n_trunc, hbar_value, omega=1.0):
-    return {name: matrix_realize(OperatorPoly.letter(name), n_trunc, hbar_value, omega)
+    return {name: realized(OperatorPoly.letter(name), n_trunc, hbar_value, omega)
             for name in ("X", "P", "H", "T")}
 
 
@@ -65,11 +73,24 @@ def test_xp_commutator_on_protected_block():
     assert np.max(np.abs(comm[s, s] - 1j * 0.5 * np.eye(N)[s, s])) < 1e-14
 
 
+def test_matrix_realize_returns_the_band():
+    # band[k + s, j] = M[j - s, j] for the total degree k, zero off the matrix
+    p = poly_of("X^2 + 3 P - i*hbar")
+    band = matrix_realize(p, N, 0.7)
+    dense, _ = dense_realize(p, N, 0.7)
+    assert band.shape == (5, N)
+    for s in range(-2, 3):
+        cols = np.arange(max(s, 0), N + min(s, 0))
+        assert np.max(np.abs(band[2 + s, cols] - dense[cols - s, cols])) < 1e-14
+        assert not np.any(band[2 + s, np.setdiff1d(np.arange(N), cols)])
+    assert matrix_realize(poly_of("i*hbar"), N, 0.25).shape == (1, N)
+
+
 def test_matrix_realize_linear_in_coefficients():
     x2 = matrix_realize(poly_of("X^2"), N, 1.0)
     three_x2 = matrix_realize(poly_of("3 X^2"), N, 1.0)
     assert np.max(np.abs(three_x2 - 3.0 * x2)) < 1e-14
-    ihbar = matrix_realize(poly_of("i*hbar"), N, 0.25)
+    ihbar = realized(poly_of("i*hbar"), N, 0.25)
     assert np.max(np.abs(ihbar - 0.25j * np.eye(N))) == 0.0
 
 
@@ -77,8 +98,8 @@ def test_matrix_realize_agrees_with_normal_form_on_protected_block():
     rng = np.random.default_rng(17)
     for _ in range(20):
         a = random_operator_poly(rng, max_degree=4, n_terms=3)
-        direct = matrix_realize(a, N, 1.0)
-        nf = matrix_realize(a.normal_form(), N, 1.0)
+        direct = realized(a, N, 1.0)
+        nf = realized(a.normal_form(), N, 1.0)
         s = protected_slice(N, max(a.total_degree(), 1))
         scale = 1.0 + float(np.max(np.abs(direct)))
         assert np.max(np.abs((direct - nf)[s, s])) / scale < 1e-12
@@ -92,7 +113,7 @@ def test_symbolic_commutator_matches_matrix_commutator():
     m_a = m["X"] @ m["X"] @ m["P"]
     m_b = m["P"] @ m["X"]
     direct = m_a @ m_b - m_b @ m_a
-    symbolic = matrix_realize(commutator_poly(a, b), N, 1.0)
+    symbolic = realized(commutator_poly(a, b), N, 1.0)
     s = protected_slice(N, 5)
     scale = 1.0 + float(np.max(np.abs(m_a @ m_b)))
     assert np.max(np.abs((symbolic - direct)[s, s])) / scale < 1e-13
@@ -113,24 +134,6 @@ def test_protected_slice_validation():
         protected_slice(8, 20)
 
 
-def dense_realize(p, n_trunc, hbar_value, omega):
-    """Word products as chains of dense matmuls from the identity; also returns
-    the entrywise sum of |coeff| |L1|...|Ld| that bounds their rounding."""
-    letters = dense_letters(n_trunc, hbar_value, omega)
-    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    magnitude = np.zeros((n_trunc, n_trunc))
-    for word, coeff in p.terms():
-        m = np.eye(n_trunc, dtype=np.complex128)
-        mag = np.eye(n_trunc)
-        for letter in word:
-            m = m @ letters[letter]
-            mag = mag @ np.abs(letters[letter])
-        c = coeff.evaluate(hbar_value)
-        total += c * m
-        magnitude += abs(c) * mag
-    return total, magnitude
-
-
 @pytest.mark.parametrize("n_trunc", [9, 64, 96])
 @pytest.mark.parametrize("register", ["XP", "HT"])
 def test_matrix_realize_matches_dense_word_products(n_trunc, register):
@@ -139,7 +142,7 @@ def test_matrix_realize_matches_dense_word_products(n_trunc, register):
     for _ in range(25):
         p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
         ref, magnitude = dense_realize(p, n_trunc, 0.7, 1.5)
-        got = matrix_realize(p, n_trunc, 0.7, omega=1.5)
+        got = realized(p, n_trunc, 0.7, omega=1.5)
         bound = 8 * max(p.total_degree(), 1) * eps * (1.0 + float(np.max(magnitude)))
         assert np.max(np.abs(got - ref)) <= bound
 
@@ -159,8 +162,8 @@ def test_realization_is_exact_unless_row_and_column_both_leave_the_protected_blo
                 if k >= n_trunc:
                     continue
                 s = protected_slice(n_trunc, k)
-                small = matrix_realize(p, n_trunc, 0.7, 1.5)
-                exact = matrix_realize(p, n_trunc + 2 * k, 0.7, 1.5)[:n_trunc, :n_trunc]
+                small = realized(p, n_trunc, 0.7, 1.5)
+                exact = realized(p, n_trunc + 2 * k, 0.7, 1.5)[:n_trunc, :n_trunc]
                 assert np.array_equal(small[s, :], exact[s, :])
                 assert np.array_equal(small[:, s], exact[:, s])
                 i, j = np.nonzero(small != exact)
@@ -182,8 +185,8 @@ def test_letter_bands_follow_hbar_and_are_read_only():
 
 def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
     """Each word multiplied out from the identity in a (2k+1)-row band, k the
-    total degree, and weighted into the total in term order: the loop the
-    memoized word bands replaced, kept as a bit-level reference."""
+    total degree, and weighted into the band total in term order: the loop
+    the memoized word bands replaced, kept as a bit-level reference."""
     letters = _letter_bands(n_trunc, hbar_value, omega)
     k = p.total_degree()
     total = np.zeros((2 * k + 1, n_trunc), dtype=np.complex128)
@@ -197,12 +200,7 @@ def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
             nxt[:-1, :-1] += m[1:, 1:] * lo
             m = nxt
         total += coeff.evaluate(hbar_value) * m
-    cols = np.arange(n_trunc)
-    rows = cols - np.arange(-k, k + 1)[:, None]
-    inside = (rows >= 0) & (rows < n_trunc)
-    dense = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    dense[rows[inside], np.broadcast_to(cols, rows.shape)[inside]] = total[inside]
-    return dense
+    return total
 
 
 @pytest.mark.parametrize("n_trunc", [9, 64, 96])
@@ -254,3 +252,49 @@ def test_word_bands_follow_hbar_and_omega_and_are_read_only():
             assert not band.flags.writeable
             with pytest.raises(ValueError):
                 band[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n_trunc", [3, 9, 64])
+@pytest.mark.parametrize("register", ["XP", "HT"])
+def test_band_product_matches_the_dense_truncated_product(n_trunc, register):
+    """Within the rounding bound of the dense product, and with every entry
+    off the matrix exactly zero; n_trunc 3 has products wider than the
+    matrix."""
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        a = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+        b = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+        m_a, m_b = matrix_realize(a, n_trunc, 0.7, 1.5), matrix_realize(b, n_trunc, 0.7, 1.5)
+        got = band_product(m_a, m_b)
+        assert got.shape == (2 * (len(m_a) // 2 + len(m_b) // 2) + 1, n_trunc)
+        d_a, d_b = dense_of_band(m_a), dense_of_band(m_b)
+        bound = 8 * n_trunc * EPS * (1.0 + np.abs(d_a) @ np.abs(d_b))
+        assert np.all(np.abs(dense_of_band(got) - d_a @ d_b) <= bound)
+        # the scatter drops entries off the matrix; the band holds zeros there
+        assert np.count_nonzero(got) == np.count_nonzero(dense_of_band(got))
+
+
+def test_protected_defect_is_the_dense_block_maximum():
+    rng = np.random.default_rng(59)
+    for n_trunc in (9, 33):
+        for _ in range(20):
+            a = random_operator_poly(rng, max_degree=4, n_terms=3)
+            b = random_operator_poly(rng, max_degree=4, n_terms=3)
+            x, y = matrix_realize(a, n_trunc, 1.0), matrix_realize(b, n_trunc, 1.0)
+            degree = max(a.total_degree(), b.total_degree(), 1)
+            s = protected_slice(n_trunc, degree)
+            ref = float(np.max(np.abs(dense_of_band(x) - dense_of_band(y))[s, s]))
+            assert protected_defect(x, y, degree) == ref
+            assert protected_defect(y, x, degree) == ref
+
+
+def test_protected_defect_sees_every_block_entry_and_nothing_else():
+    n_trunc, degree = 12, 3
+    keep = protected_slice(n_trunc, degree).stop
+    zero = np.zeros((2 * degree + 1, n_trunc), dtype=np.complex128)
+    for i in range(n_trunc):
+        for j in range(max(i - degree, 0), min(i + degree, n_trunc - 1) + 1):
+            x = zero.copy()
+            x[degree + j - i, j] = np.nan
+            got = protected_defect(x, zero, degree)
+            assert np.isnan(got) if i < keep and j < keep else got == 0.0

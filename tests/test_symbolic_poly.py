@@ -113,19 +113,19 @@ def test_normal_form_equals_rational_table_reading_in_order(register):
 
 def fraction_built_draw(rng: np.random.Generator, max_degree: int, n_terms: int,
                         register: str) -> OperatorPoly:
-    """random_operator_poly as it built each coefficient from two Fractions,
-    kept as the reference for its integer draws."""
+    """random_operator_poly's draws (one call for every term's five integer
+    fields, one for all the letters), with each coefficient built from two
+    Fractions and the terms summed through the public OperatorPoly +, kept as
+    the reference for its integer arithmetic."""
     letters = tuple(register)
-    terms: dict = {}
-    for _ in range(n_terms):
-        length = int(rng.integers(0, max_degree + 1))
-        word = tuple(letters[int(i)] for i in rng.integers(0, 2, size=length))
-        re = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
-        im = Fraction(int(rng.integers(-3, 4)), 2)
-        coeff = HbarPoly.term(GaussianRational(re, im), int(rng.integers(0, 2)))
-        prev = terms.get(word)
-        terms[word] = coeff if prev is None else prev + coeff
-    return OperatorPoly(terms)
+    fields = rng.integers([0, -6, 1, -3, 0], [max_degree + 1, 7, 5, 4, 2], size=(n_terms, 5))
+    picks = iter(rng.integers(0, 2, size=int(fields[:, 0].sum())))
+    total = OperatorPoly.zero()
+    for length, num, den, half_im, hbar_pow in fields:
+        word = tuple(letters[int(next(picks))] for _ in range(length))
+        re, im = Fraction(int(num), int(den)), Fraction(int(half_im), 2)
+        total = total + OperatorPoly({word: HbarPoly.term(GaussianRational(re, im), int(hbar_pow))})
+    return total
 
 
 @pytest.mark.parametrize("register", ["XP", "HT"])
@@ -136,6 +136,7 @@ def test_random_operator_poly_equals_the_fraction_built_draws(register):
             p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
             q = fraction_built_draw(reference, max_degree=8, n_terms=4, register=register)
             assert ordered(p.terms()) == ordered(q.terms())
+            assert p.register == q.register
         # the same generator calls, so every later draw is unchanged too
         assert rng.integers(1 << 62) == reference.integers(1 << 62)
 
