@@ -7,11 +7,12 @@ The lowering matrix b has b[m-1, m] = sqrt(m). The Hermitian pair
 is read from the letters b, H and T of qpb.symbolic.matrices.letter_matrices,
 whose grouping makes frequency covariance a bitwise float identity: scaling
 omega rescales H by omega and T by 1/omega with no other change. Each letter
-has only its first off-diagonals and is kept as letter_matrices returns it, a
-(2, n_trunc - 1) band; the number operator b*b + 1/2 is kept as its diagonal.
-The checks compute on these bands, so no n_trunc x n_trunc array is formed
-except the protected blocks that eigh needs. Their commutator at truncation N
-is
+is kept as letter_matrices returns it, in the band storage of
+qpb.symbolic.matrices (band[k + s, j] = M[j - s, j], half-width k = 1), and
+the number operator b*b + 1/2 as a band of half-width 0, its diagonal. The
+checks multiply these bands with band_product, so no n_trunc x n_trunc array
+is formed except the protected blocks that eigh needs. Their commutator at
+truncation N is
 
     [H, T] = i hbar [b, b*] = i hbar diag(1, ..., 1, -(N-1))
 
@@ -27,13 +28,13 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtectedRangeError
 from .report import CheckReport, make_report, worst
-from .symbolic import letter_matrices
+from .symbolic import band_adjoint, band_product, letter_matrices, protected_defect
 
 
 @dataclass(frozen=True)
 class LadderSystem:
-    """b, H and T as bands (row 0 the superdiagonal M[j, j+1], row 1 the
-    subdiagonal M[j+1, j]) and the number operator as its diagonal, each a
+    """b, H and T as (3, n_trunc) bands and the number operator as a
+    (1, n_trunc) band, in the band storage of qpb.symbolic.matrices, each a
     read-only complex copy."""
 
     n_trunc: int
@@ -45,51 +46,26 @@ class LadderSystem:
     number: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        band, diagonal = (2, self.n_trunc - 1), (self.n_trunc,)
-        for name, shape in (("lowering", band), ("energy", band), ("time", band),
-                            ("number", diagonal)):
+        for name, rows in (("lowering", 3), ("energy", 3), ("time", 3), ("number", 1)):
             array = np.asarray(getattr(self, name), dtype=np.complex128).copy()
-            if array.shape != shape:
-                raise ConfigurationError(
-                    f"LadderSystem.{name} must have shape {shape}, got {array.shape}")
+            if array.shape != (rows, self.n_trunc):
+                raise ConfigurationError(f"LadderSystem.{name} must have shape "
+                                         f"{(rows, self.n_trunc)}, got {array.shape}")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
 
-def _adjoint(band: np.ndarray) -> np.ndarray:
-    return band[::-1].conj()
-
-
-def _band_product(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Diagonals 0, +2 and -2 of AB, the only ones it has, for A and B given
-    as bands: AB[i, i] = A[i, i-1] B[i-1, i] + A[i, i+1] B[i+1, i], AB[i, i+2]
-    = A[i, i+1] B[i+1, i+2] and AB[i+2, i] = A[i+2, i+1] B[i+1, i]."""
-    (a_up, a_lo), (b_up, b_lo) = a, b
-    diagonal = np.zeros(a.shape[1] + 1, dtype=np.result_type(a, b))
-    diagonal[1:] = a_lo * b_up
-    diagonal[:-1] += a_up * b_lo
-    return [diagonal, a_up[:-1] * b_up[1:], a_lo[1:] * b_lo[:-1]]
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Diagonals 0, +2 and -2 of AB - BA for the bands A and B."""
-    return [x - y for x, y in zip(_band_product(a, b), _band_product(b, a))]
-
-
-def _protected(diagonals: list[np.ndarray]) -> np.ndarray:
-    """Entries of diagonals 0, +2 and -2 (as _band_product orders them) that
-    lie in the protected block, rows and columns 0..n_trunc - 2."""
-    return np.concatenate([d[:-1] for d in diagonals])
-
-
-def _grading_defect(number: np.ndarray, band: np.ndarray, shift: float) -> np.ndarray:
-    """|N A - A N - shift A| entry by entry over 1 + |N||A| + |A||N|, for the
-    diagonal N and the band A, where N A and A N scale A's rows and columns."""
-    left = np.stack([number[:-1], number[1:]])
-    right = left[::-1]
-    defect = left * band - band * right - shift * band
-    abs_band = np.abs(band)
-    return np.abs(defect) / (1.0 + np.abs(left) * abs_band + abs_band * np.abs(right))
+def _relation_defect(a: np.ndarray, b: np.ndarray, relation: np.ndarray,
+                     degree: int) -> tuple[float, np.ndarray]:
+    """Largest |[A, B] - R| / (1 + |A||B| + |B||A|), entry by entry over the
+    block protected_slice(n_trunc, degree), for the bands A, B and R; and
+    the band of [A, B]."""
+    comm = band_product(a, b) - band_product(b, a)
+    pad = len(comm) // 2 - len(relation) // 2
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    ratio = (np.abs(comm - np.pad(relation, ((pad, pad), (0, 0))))
+             / (1.0 + band_product(abs_a, abs_b) + band_product(abs_b, abs_a)))
+    return protected_defect(ratio, np.zeros((1, a.shape[1])), degree), comm
 
 
 def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSystem:
@@ -97,7 +73,7 @@ def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSys
         raise ConfigurationError("ladder truncation below 4 leaves nothing to check")
     letters = letter_matrices(n_trunc, hbar, omega)
     b = letters["b"]
-    number = _band_product(_adjoint(b), b)[0] + 0.5
+    number = band_product(band_adjoint(b), b)[2:3] + 0.5
     return LadderSystem(n_trunc, omega, hbar, lowering=b, energy=letters["H"],
                         time=letters["T"], number=number)
 
@@ -111,23 +87,15 @@ def check_ladder_algebra(system: LadderSystem) -> CheckReport:
     Algorithms, 2nd ed., §3.5), so rounding alone leaves a few units of
     roundoff here at any truncation, while the entries of AB grow like
     n_trunc^1.5."""
-    b = system.lowering
-    bd = _adjoint(b)
+    b, number = system.lowering, system.number
+    bd = band_adjoint(b)
     n = system.n_trunc
-    comm = _commutator(b, bd)
-    corner = float(comm[0][n - 1].real)
-    comm[0] -= 1.0
-    abs_b, abs_bd = np.abs(b), np.abs(bd)
-    bound = [1.0 + x + y for x, y in zip(_band_product(abs_b, abs_bd),
-                                         _band_product(abs_bd, abs_b))]
-    resid = worst([
-        np.max(_protected([np.abs(d) / s for d, s in zip(comm, bound)])),
-        np.max(_grading_defect(system.number, b, -1.0)),
-        np.max(_grading_defect(system.number, bd, 1.0)),
-    ])
+    unit_defect, comm = _relation_defect(b, bd, np.ones((1, n)), 1)
+    resid = worst([unit_defect, _relation_defect(number, b, -b, 0)[0],
+                   _relation_defect(number, bd, bd, 0)[0]])
     return make_report("ladder_algebra", resid, context={
         "n_trunc": n,
-        "corner_entry": corner,
+        "corner_entry": float(comm[2, n - 1].real),
         "residual_scaling": "entrywise, relative to 1 + |A||B| + |B||A|",
     })
 
@@ -135,26 +103,27 @@ def check_ladder_algebra(system: LadderSystem) -> CheckReport:
 def ht_commutator_residual(system: LadderSystem) -> CheckReport:
     """[H, T] = i hbar away from the truncation corner, measured relative to
     hbar: H carries the factor hbar, so its rounding does too."""
-    n = system.n_trunc
-    comm = _commutator(system.energy, system.time)
-    comm[0] -= 1j * system.hbar
-    defect = [np.abs(d) / system.hbar for d in comm]
-    return make_report("ladder_ht_commutator", float(np.max(_protected(defect))), context={
+    n, hbar = system.n_trunc, system.hbar
+    comm = band_product(system.energy, system.time) - band_product(system.time, system.energy)
+    resid = protected_defect(comm, np.full((1, n), 1j * hbar), 1) / hbar
+    return make_report("ladder_ht_commutator", resid, context={
         "n_trunc": n,
         "omega": system.omega,
-        "hbar": system.hbar,
-        "corner_defect": float(defect[0][n - 1]),
+        "hbar": hbar,
+        "corner_defect": float(abs(comm[2, n - 1] - 1j * hbar) / hbar),
         "residual_scaling": "relative to hbar",
     })
 
 
 def _protected_block(band: np.ndarray) -> np.ndarray:
-    """The band's matrix on rows and columns 0..n_trunc - 2, as a dense array."""
-    m = band.shape[1]
+    """The (3, n_trunc) band's matrix on rows and columns 0..n_trunc - 2, as a
+    dense array."""
+    m = band.shape[1] - 1
     block = np.zeros((m, m), dtype=np.complex128)
     flat = block.reshape(-1)
-    flat[1::m + 1] = band[0, :-1]
-    flat[m::m + 1] = band[1, :-1]
+    flat[::m + 1] = band[1, :m]
+    flat[1::m + 1] = band[2, 1:m]
+    flat[m::m + 1] = band[0, :m - 1]
     return block
 
 
@@ -191,8 +160,8 @@ def scaling_exact_check(n_trunc: int = 64, hbar: float = 1.0,
         sys_w = build(n_trunc, omega, hbar)
         ok = ok and np.array_equal(sys_w.energy, omega * base.energy)
         ok = ok and np.array_equal(sys_w.time, (1.0 / omega) * base.time)
-        ok = ok and np.array_equal(sys_w.energy, _adjoint(sys_w.energy))
-        ok = ok and np.array_equal(sys_w.time, _adjoint(sys_w.time))
+        ok = ok and np.array_equal(sys_w.energy, band_adjoint(sys_w.energy))
+        ok = ok and np.array_equal(sys_w.time, band_adjoint(sys_w.time))
     return make_report("ladder_scaling_exact", 0.0 if ok else 1.0, context={
         "n_trunc": n_trunc,
         "hbar": hbar,

@@ -17,6 +17,7 @@ from .expr import (
     to_poly,
 )
 from .matrices import (
+    band_adjoint,
     band_product,
     letter_matrices,
     matrix_realize,
@@ -44,6 +45,7 @@ __all__ = [
     "Sum",
     "Sym",
     "WeylS",
+    "band_adjoint",
     "band_product",
     "commutator_poly",
     "letter_matrices",

@@ -9,8 +9,10 @@ b with b[m-1, m] = sqrt(m):
 Both pairs satisfy [A, B] = i hbar on every basis state except the last, so a
 product of words of total degree d is exact in the first n_trunc - d rows and
 in the first n_trunc - d columns; the truncation leaks in only where both the
-row and the column lie beyond them. Realizations, their products and their
-comparisons stay in band storage, so none forms an n_trunc x n_trunc array.
+row and the column lie beyond them. Letters, realizations, their products
+and their comparisons all stay in one band storage, band[k + s, j] =
+M[j - s, j] for a matrix of half-width k, zero where j - s lies off the
+matrix, so none forms an n_trunc x n_trunc array.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ from .poly import OperatorPoly
 
 def letter_matrices(n_trunc: int, hbar_value: float,
                     omega: float = 1.0) -> dict[str, np.ndarray]:
-    """Superdiagonal L[j-1, j] (row 0) and subdiagonal L[j+1, j] (row 1) of
-    b and of each letter, by the dense formulas applied entry by entry: every
-    entry has the raw bits of the dense letter's, signs of zeros included."""
+    """b and each letter in band storage, band[1 + s, j] = L[j - s, j], by
+    the dense formulas applied entry by entry: every entry on the matrix has
+    the raw bits of the dense letter's, signs of zeros included."""
     if n_trunc < 2:
         raise ConfigurationError("matrix realization needs at least 2 basis states")
     if hbar_value <= 0:
         raise ConfigurationError("hbar_value must be positive")
     if omega <= 0:
         raise ConfigurationError("omega must be positive")
-    b = np.zeros((2, n_trunc - 1), dtype=np.complex128)
-    b[0] = np.sqrt(np.arange(1, n_trunc, dtype=np.float64))
-    bd = b[::-1].conj()
+    b = np.zeros((3, n_trunc), dtype=np.complex128)
+    b[2, 1:] = np.sqrt(np.arange(1, n_trunc, dtype=np.float64))
+    bd = band_adjoint(b)
     sym = (b + bd) / np.sqrt(2.0)
     anti = (b - bd) / (1j * np.sqrt(2.0))
     root = np.sqrt(hbar_value / 2.0)
@@ -65,20 +67,16 @@ def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
     """Read-only band storage of a word's matrix product: for d = len(word),
     band[d + s, j] = M[j - s, j] for s = -d..d.
 
-    Grown from the band of word[:-1] by the last letter's two shifted,
-    scaled slice updates. 64 entries hold every word weyl's oracle realizes
-    (61: the 31 words of degree <= 4 and the 45 normal-ordered words of
-    degree <= 8 share 15), at most 657 band rows: 21 MB at n_trunc 2048.
+    Grown from the band of word[:-1] by band_product with the last letter.
+    64 entries hold every word weyl's oracle realizes (61: the 31 words of
+    degree <= 4 and the 45 normal-ordered words of degree <= 8 share 15), at
+    most 657 band rows: 21 MB at n_trunc 2048.
     """
-    d = len(word)
-    band = np.zeros((2 * d + 1, n_trunc), dtype=np.complex128)
-    if d == 0:
-        band[0] = 1.0
+    if word:
+        band = band_product(_word_band(word[:-1], n_trunc, hbar_value, omega),
+                            _letter_bands(n_trunc, hbar_value, omega)[word[-1]])
     else:
-        prev = _word_band(word[:-1], n_trunc, hbar_value, omega)
-        up, lo = _letter_bands(n_trunc, hbar_value, omega)[word[-1]]
-        band[2:, 1:] = prev[:, :-1] * up
-        band[:-2, :-1] += prev[:, 1:] * lo
+        band = np.ones((1, n_trunc), dtype=np.complex128)
     band.flags.writeable = False
     return band
 
@@ -111,8 +109,9 @@ def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
 
 
 def band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Band of the truncated product AB, for A and B in matrix_realize's band
-    storage: one shifted multiply-add per diagonal of B.
+    """Band of the truncated product AB, for A and B in band storage of any
+    half-widths, band[k + s, j] = M[j - s, j]: one shifted multiply-add per
+    diagonal of B.
 
     AB[j - s, j] sums A[j - s, j - t] B[j - t, j] over B's diagonals t, and
     A's factor is a[ka + s - t, j - t] (ka, kb the half-widths of a and b).
@@ -124,6 +123,17 @@ def band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for t in range(-min(kb, n - 1), min(kb, n - 1) + 1):
         lo, hi = max(t, 0), n + min(t, 0)
         out[kb + t:kb + t + 2 * ka + 1, lo:hi] += a[:, lo - t:hi - t] * b[kb + t, lo:hi]
+    return out
+
+
+def band_adjoint(band: np.ndarray) -> np.ndarray:
+    """Band of the conjugate transpose, out[k + s, j] = conj(band[k - s, j - s]),
+    for any half-width k; entries off the matrix are zero."""
+    k, n = len(band) // 2, band.shape[1]
+    out = np.zeros_like(band)
+    for s in range(-min(k, n - 1), min(k, n - 1) + 1):
+        lo, hi = max(s, 0), n + min(s, 0)
+        out[k + s, lo:hi] = band[k - s, lo - s:hi - s].conj()
     return out
 
 

@@ -1,19 +1,15 @@
 """The dense ladder arithmetic, as qpb computed it before LadderSystem kept its
 letters as bands.
 
-Each band is scattered to its full n_trunc x n_trunc matrix, and the relations
-of check_ladder_algebra and ht_commutator_residual are formed by dense
-products, the rounding bound 1 + |A||B| + |B||A| included. The band checks
-are held to these numbers.
+Each band is scattered to its full n_trunc x n_trunc matrix by dense_of_band,
+and the relations of check_ladder_algebra and ht_commutator_residual are
+formed by dense products, the rounding bound 1 + |A||B| + |B||A| included.
+The band checks are held to these numbers.
 """
 
 import numpy as np
 
-
-def dense(band):
-    """The n_trunc x n_trunc matrix of a band: row 0 its superdiagonal
-    M[j, j+1], row 1 its subdiagonal M[j+1, j]."""
-    return np.diag(band[0], k=1) + np.diag(band[1], k=-1)
+from dense_letters import dense_of_band
 
 
 def _commutator_defect(defect, a, b):
@@ -23,9 +19,9 @@ def _commutator_defect(defect, a, b):
 
 def ladder_algebra(system):
     """(residual, corner entry of [b, b*]) of check_ladder_algebra."""
-    b = dense(system.lowering)
+    b = dense_of_band(system.lowering)
     bd = b.conj().T
-    number = np.diag(system.number)
+    number = dense_of_band(system.number)
     n = system.n_trunc
     comm = b @ bd - bd @ b
     protected = slice(0, n - 1)
@@ -41,7 +37,7 @@ def ht_commutator(system):
     """(residual, corner defect) of ht_commutator_residual, and the largest
     entry of (|H||T| + |T||H|) / hbar on the protected block, the scale of
     the products' rounding."""
-    energy, time = dense(system.energy), dense(system.time)
+    energy, time = dense_of_band(system.energy), dense_of_band(system.time)
     n = system.n_trunc
     comm = energy @ time - time @ energy
     defect = np.abs(comm - 1j * system.hbar * np.eye(n)) / system.hbar

@@ -1,12 +1,12 @@
 """Dense oracles for the band storage of qpb.symbolic.matrices: the ladder
-letters as qpb built them before letter_matrices kept only their two nonzero
-diagonals, words multiplied out as chains of dense matmuls, and the scatter
-of a band into its n_trunc x n_trunc matrix.
+letters as qpb built them before letter_matrices kept them as bands, words
+multiplied out as chains of dense matmuls, and the scatter of a band into its
+n_trunc x n_trunc matrix and back.
 
 Every matrix is a full n_trunc x n_trunc array formed from the dense lowering
 matrix with the same grouping of scalars. The band builder, matrix_realize,
-band_product and ladder.build are held to these matrices, bit for bit where
-the tests say so.
+band_product, band_adjoint and ladder.build are held to these matrices, bit
+for bit where the tests say so.
 """
 
 import numpy as np
@@ -58,3 +58,30 @@ def dense_of_band(band):
         else:
             flat[-s * n_trunc::step] = band[k + s, :n_trunc + s]
     return dense
+
+
+def band_of_dense(dense, k):
+    """The band of half-width k of a dense matrix, band[k + s, j] = dense[j - s, j],
+    zero where j - s lies off the matrix: dense_of_band's inverse on the band."""
+    n_trunc = len(dense)
+    band = np.zeros((2 * k + 1, n_trunc), dtype=dense.dtype)
+    for s in range(-min(k, n_trunc - 1), min(k, n_trunc - 1) + 1):
+        band[k + s, max(s, 0):n_trunc + min(s, 0)] = np.diagonal(dense, s)
+    return band
+
+
+def on_matrix(band):
+    """Mask of the band entries that lie on the matrix: row j - s of entry
+    (k + s, j) within 0 .. n_trunc - 1."""
+    k, n_trunc = len(band) // 2, band.shape[1]
+    rows = np.arange(n_trunc) - np.arange(-k, k + 1)[:, None]
+    return (rows >= 0) & (rows < n_trunc)
+
+
+def same_band_bits(band, dense):
+    """Every entry of the band on the matrix has the raw bits of the dense
+    matrix's entry, signs of zeros included, and every entry off it is zero."""
+    on = on_matrix(band)
+    want = band_of_dense(dense, len(band) // 2)
+    return (band.dtype == dense.dtype and band[on].tobytes() == want[on].tobytes()
+            and not np.any(band[~on]))

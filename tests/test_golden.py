@@ -14,6 +14,9 @@ DATA = Path(__file__).with_name("data")
 # golden file -> the qpb arguments that write it
 CORPUS = {
     "weyl_n_trunc_96.json": ("verify", "weyl", "--n-trunc", "96", "--format", "json"),
+    "ladder_n_trunc_512.json": ("verify", "ladder", "--n-trunc", "512", "--format", "json"),
+    "ladder_hbar_0.3_omega_2_n_trunc_200.json": ("verify", "ladder", "--hbar", "0.3", "--omega",
+                                                 "2.0", "--n-trunc", "200", "--format", "json"),
 }
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import dense_ladder
-from dense_ladder import dense
-from dense_letters import dense_letters
+import qpb.ladder
+from dense_letters import dense_letters, dense_of_band, same_band_bits
 from qpb.errors import ConfigurationError, ProtectedRangeError
 from qpb.ladder import (
     build,
@@ -24,9 +24,9 @@ PAIRS = ((1.0, 1.0), (0.3, 2.0), (1e-3, 0.25), (1e5, 7.5))
 def test_build_shapes_and_hermiticity():
     system = build(N, omega=2.0, hbar=0.5)
     for band in (system.lowering, system.energy, system.time):
-        assert band.shape == (2, N - 1)
-    assert system.number.shape == (N,)
-    energy, time = dense(system.energy), dense(system.time)
+        assert band.shape == (3, N)
+    assert system.number.shape == (1, N)
+    energy, time = dense_of_band(system.energy), dense_of_band(system.time)
     assert np.max(np.abs(energy - energy.conj().T)) == 0.0
     assert np.max(np.abs(time - time.conj().T)) < 1e-15
     assert system.omega == 2.0 and system.hbar == 0.5
@@ -38,14 +38,11 @@ def test_build_is_bit_equal_to_the_dense_letters(n_trunc):
         system = build(n_trunc, omega, hbar)
         letters = dense_letters(n_trunc, hbar, omega)
         for field, name in (("lowering", "b"), ("energy", "H"), ("time", "T")):
-            got = getattr(system, field)
-            want = np.stack([np.diag(letters[name], k=1), np.diag(letters[name], k=-1)])
             # raw bits, so even the signs of zeros agree
-            assert got.shape == want.shape, (field, hbar, omega)
-            assert got.tobytes() == want.tobytes(), (field, hbar, omega)
+            assert same_band_bits(getattr(system, field), letters[name]), (field, hbar, omega)
         b = letters["b"]
-        number = np.diag(b.conj().T @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128))
-        assert system.number.tobytes() == number.tobytes(), (hbar, omega)
+        number = b.conj().T @ b + 0.5 * np.eye(n_trunc, dtype=np.complex128)
+        assert same_band_bits(system.number, number), (hbar, omega)
 
 
 def test_build_arrays_frozen():
@@ -60,11 +57,13 @@ def test_build_arrays_frozen():
 
 
 def test_fields_of_the_wrong_shape_name_the_field():
-    """A dense matrix of the old API, or a band of another truncation, ends
-    in a configuration error that names the field, before any check runs."""
+    """A dense matrix, a band of another truncation or width, or a two-row
+    band of the first off-diagonals alone ends in a configuration error that
+    names the field, before any check runs."""
     system = build(8)
-    for name, bad in (("energy", dense(system.energy)), ("time", system.time[:, :-1]),
-                      ("lowering", system.lowering[0]), ("number", dense(system.energy))):
+    for name, bad in (("energy", dense_of_band(system.energy)), ("time", system.time[:, :-1]),
+                      ("lowering", system.lowering[0]), ("number", system.lowering),
+                      ("energy", system.energy[::2, 1:]), ("number", system.number[0])):
         with pytest.raises(ConfigurationError, match=f"LadderSystem.{name} "):
             replace(system, **{name: bad})
     with pytest.raises(ConfigurationError, match="LadderSystem.lowering "):
@@ -116,8 +115,8 @@ def test_ladder_algebra_identities():
 def test_number_operator_grades_ladder():
     # [K, b] = -b and [K, b+] = +b+ hold on the full truncated matrices
     system = build(32)
-    K = np.diag(system.number)
-    b = dense(system.lowering)
+    K = dense_of_band(system.number)
+    b = dense_of_band(system.lowering)
     bd = b.conj().T
     assert np.max(np.abs(K @ b - b @ K + b)) < 1e-13
     assert np.max(np.abs(K @ bd - bd @ K - bd)) < 1e-13
@@ -140,7 +139,7 @@ def test_ht_commutator_is_relative_to_hbar(hbar):
     # D = delta E_01 (superdiagonal entry 0) adds delta * (T_10 E_00 + T_12 E_02
     # - T_10 E_11) to [H, T]; at omega 1, |T_10| = 1/sqrt(2) and |T_12| = 1
     energy = np.array(system.energy)
-    energy[0, 0] += 1e-9 * hbar
+    energy[2, 1] += 1e-9 * hbar
     report = ht_commutator_residual(replace(system, energy=energy))
     assert not report.passed
     assert report.residual == pytest.approx(1e-9, rel=1e-3)
@@ -175,9 +174,43 @@ def test_omega_scaling_is_bitwise():
     assert np.array_equal(scaled.time, base.time / 3.0)
 
 
+def _spoiled_letters(spoil):
+    """letter_matrices with spoil(omega, letters) applied to each call's bands."""
+    letter_matrices = qpb.ladder.letter_matrices
+
+    def spoiled(n_trunc, hbar_value, omega=1.0):
+        letters = letter_matrices(n_trunc, hbar_value, omega)
+        spoil(omega, letters)
+        return letters
+    return spoiled
+
+
+def _one_ulp_in_energy(omega, letters):
+    # entry (0, 1) and its mirror (1, 0) at omega 2 only: H stays Hermitian,
+    # and only the frequency covariance breaks
+    if omega == 2.0:
+        for row, col in ((2, 1), (0, 0)):
+            entry = letters["H"][row, col]
+            letters["H"][row, col] = complex(np.nextafter(entry.real, np.inf), entry.imag)
+
+
+def _unmirrored_time(omega, letters):
+    # T[1, 0] set to T[0, 1], not to its conjugate, at every omega: the
+    # frequency covariance holds, and only the Hermiticity breaks
+    letters["T"][0, 0] = letters["T"][2, 1]
+
+
+@pytest.mark.parametrize("spoil", [_one_ulp_in_energy, _unmirrored_time])
+def test_scaling_exact_fails_on_a_spoiled_letter(monkeypatch, spoil):
+    monkeypatch.setattr(qpb.ladder, "letter_matrices", _spoiled_letters(spoil))
+    report = scaling_exact_check(N, 1.0)
+    assert report.residual == 1.0
+    assert report.passed is False
+
+
 def _energy_time_product(system, v):
     """Delta H * Delta T and <[H, T]> on the number-basis state v, normalized."""
-    energy, time = dense(system.energy), dense(system.time)
+    energy, time = dense_of_band(system.energy), dense_of_band(system.time)
     v = v / np.linalg.norm(v)
     spreads = []
     for op in (energy, time):
@@ -233,7 +266,7 @@ def test_ladder_algebra_scale_aware_at_large_truncation(n_trunc):
 def test_ladder_algebra_detects_a_small_defect_in_number(n_trunc, index):
     system = build(n_trunc)
     number = np.array(system.number)
-    number[index] += 1e-9
+    number[0, index] += 1e-9
     report = check_ladder_algebra(replace(system, number=number))
     assert not report.passed
 
@@ -242,7 +275,7 @@ def test_ladder_algebra_nan_fails():
     # the NaN reaches the second and third relation, which Python's max dropped
     system = build(N)
     number = np.array(system.number)
-    number[N // 2] = np.nan
+    number[0, N // 2] = np.nan
     report = check_ladder_algebra(replace(system, number=number))
     assert np.isnan(report.residual)
     assert not report.passed

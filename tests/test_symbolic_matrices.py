@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dense_letters import dense_letters, dense_of_band, dense_realize
+from dense_letters import dense_letters, dense_of_band, dense_realize, on_matrix, same_band_bits
 from qpb.errors import ConfigurationError
 from qpb.symbolic.matrices import _letter_bands, _word_band
 from qpb.symbolic import (
     OperatorPoly,
+    band_adjoint,
     band_product,
     commutator_poly,
     letter_matrices,
@@ -31,10 +32,11 @@ def realized_letters(n_trunc, hbar_value, omega=1.0):
 
 
 def test_lowering_matrix_entries():
-    # the "b" band: b[m-1, m] = sqrt(m) above the diagonal, zeros below
-    up, lo = letter_matrices(5, 1.0)["b"]
-    assert np.array_equal(up, np.sqrt([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(lo, np.zeros(4))
+    # the "b" band: b[m-1, m] = sqrt(m) above the diagonal, zeros on and below
+    # it, and a zero where the superdiagonal's row -1 lies off the matrix
+    lo, diagonal, up = letter_matrices(5, 1.0)["b"]
+    assert np.array_equal(up, np.sqrt([0.0, 1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(lo, np.zeros(5)) and np.array_equal(diagonal, np.zeros(5))
 
 
 def test_lowering_matrix_needs_two_levels():
@@ -46,10 +48,9 @@ def test_letter_matrices_hermitian_and_scaled():
     bands = letter_matrices(N, hbar_value=0.7, omega=2.0)
     assert set(bands) == {"b", "X", "P", "H", "T"}
     for name in ("X", "P", "H", "T"):
-        up, lo = bands[name]
-        assert bands[name].shape == (2, N - 1)
+        assert bands[name].shape == (3, N)
         # Hermitian: L[j+1, j] = conj(L[j, j+1])
-        assert np.max(np.abs(lo - up.conj())) < 1e-14
+        assert np.max(np.abs(band_adjoint(bands[name]) - bands[name])) < 1e-14
     # the energy letter groups its scalars so omega scaling is bitwise exact
     assert np.array_equal(letter_matrices(N, 0.7, omega=3.0)["H"],
                           3.0 * (letter_matrices(N, 0.7, omega=1.0)["H"]))
@@ -58,7 +59,7 @@ def test_letter_matrices_hermitian_and_scaled():
 def test_canonical_commutator_defect_is_confined_to_corner():
     # [b, b+] = I except entry (N-1, N-1) where truncation puts -(N-1);
     # diagonal entries are sqrt(m+1)^2 - sqrt(m)^2, so rounding-level only
-    b = np.diag(letter_matrices(N, 1.0)["b"][0], k=1)
+    b = dense_of_band(letter_matrices(N, 1.0)["b"])
     comm = b @ b.T - b.T @ b
     assert np.max(np.abs(np.diag(comm)[:-1] - 1.0)) < 1e-13
     assert comm[N - 1, N - 1] == pytest.approx(-(N - 1), rel=1e-14)
@@ -174,19 +175,18 @@ def test_letter_bands_follow_hbar_and_are_read_only():
     for hbar_value in (0.5, 2.0, 0.5):
         bands = _letter_bands(16, hbar_value, 1.0)
         for name, m in dense_letters(16, hbar_value, 1.0).items():
-            up, lo = bands[name]
-            assert np.array_equal(up, np.diagonal(m, 1))
-            assert np.array_equal(lo, np.diagonal(m, -1))
-            for arr in (up, lo):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
+            assert same_band_bits(bands[name], m)
+            assert not bands[name].flags.writeable
+            with pytest.raises(ValueError):
+                bands[name][2, 1] = 0.0
 
 
 def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
     """Each word multiplied out from the identity in a (2k+1)-row band, k the
-    total degree, and weighted into the band total in term order: the loop
-    the memoized word bands replaced, kept as a bit-level reference."""
+    total degree, by two shifted slice updates per letter (its superdiagonal
+    L[j-1, j] and subdiagonal L[j+1, j]), and weighted into the band total in
+    term order: the loop the memoized word bands replaced, kept as a
+    bit-level reference."""
     letters = _letter_bands(n_trunc, hbar_value, omega)
     k = p.total_degree()
     total = np.zeros((2 * k + 1, n_trunc), dtype=np.complex128)
@@ -194,7 +194,7 @@ def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
         m = np.zeros_like(total)
         m[k] = 1.0
         for letter in word:
-            up, lo = letters[letter]
+            up, lo = letters[letter][2, 1:], letters[letter][0, :-1]
             nxt = np.zeros_like(m)
             nxt[1:, 1:] = m[:-1, :-1] * up
             nxt[:-1, :-1] += m[1:, 1:] * lo
@@ -298,3 +298,19 @@ def test_protected_defect_sees_every_block_entry_and_nothing_else():
             x[degree + j - i, j] = np.nan
             got = protected_defect(x, zero, degree)
             assert np.isnan(got) if i < keep and j < keep else got == 0.0
+
+
+@pytest.mark.parametrize("n_trunc", [1, 3, 9, 64])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_band_adjoint_is_the_dense_conjugate_transpose(n_trunc, k):
+    """Raw bits against the scattered band's conjugate transpose, for bands
+    as wide as the matrix and wider; a second adjoint gives the band back on
+    every entry on the matrix."""
+    rng = np.random.default_rng(61 + n_trunc + k)
+    band = rng.normal(size=(2 * k + 1, n_trunc)) + 1j * rng.normal(size=(2 * k + 1, n_trunc))
+    band[~on_matrix(band)] = 0.0
+    band[k, 0] = complex(-0.0, 0.0)  # a signed zero on the diagonal keeps its bits
+    got = band_adjoint(band)
+    assert same_band_bits(got, dense_of_band(band).conj().T)
+    on = on_matrix(band)
+    assert band_adjoint(got)[on].tobytes() == band[on].tobytes()
