@@ -3,11 +3,18 @@
 `qpb verify <suite>` runs one named check suite (or `all`) and emits the
 reports as a table or byte-stable JSON. Exit status: 0 when every check
 passed, 1 when any check failed, 2 on usage or configuration errors.
+
+`run()` is the process entry: the `qpb` script and `python -m qpb` call it.
+It returns `main()`'s status after `gc.freeze()`, so the exiting interpreter
+does not collect its import graph; stdio is still flushed and atexit handlers
+still run. `main()` itself leaves the collector alone, for callers that go on
+running in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import ToolkitError
@@ -82,5 +89,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def run() -> int:
+    """Process entry: main()'s status, with every object tracked so far moved
+    to the collector's permanent generation. Only a process about to exit
+    calls this; the freeze spares its teardown the collections over numpy's
+    and qpb's objects."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

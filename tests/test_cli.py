@@ -1,4 +1,7 @@
+import gc
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -49,10 +52,43 @@ def test_out_file_written_and_stdout_silent(tmp_path: Path):
     assert rows and all(row["pass"] for row in rows)
 
 
-def test_tolerance_override_can_force_failure():
+def test_tolerance_override_can_force_failure(capsys):
     proc = run("verify", "poisson", "--tolerance", "poisson_residual=1e-15")
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+    # the process entry's exit still flushes the whole table
+    assert main(["verify", "poisson", "--tolerance", "poisson_residual=1e-15"]) == 1
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_the_script_and_python_m_share_one_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qpb"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    monkeypatch.setattr(cli, "run", lambda: 7)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qpb", run_name="__main__")
+    assert exc.value.code == 7
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    assert main(["verify", "kk", "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_freezes_only_after_main_and_exits_normally():
+    # atexit handlers still run, after the freeze, and the status is main's
+    code = ("import atexit, gc, sys\n"
+            "from qpb import cli\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['qpb', 'verify', 'nosuch']\n"
+            "sys.exit(cli.run())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+    assert proc.stdout == "atexit True\n"
 
 
 def test_unknown_tolerance_key_is_config_error():

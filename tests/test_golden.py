@@ -17,6 +17,13 @@ CORPUS = {
     "ladder_n_trunc_512.json": ("verify", "ladder", "--n-trunc", "512", "--format", "json"),
     "ladder_hbar_0.3_omega_2_n_trunc_200.json": ("verify", "ladder", "--hbar", "0.3", "--omega",
                                                  "2.0", "--n-trunc", "200", "--format", "json"),
+    "fourier_n_points_1024.json": ("verify", "fourier", "--n-points", "1024", "--format", "json"),
+    "poisson_n_points_1024.json": ("verify", "poisson", "--n-points", "1024", "--format", "json"),
+    "uncertainty_n_points_1024.json": ("verify", "uncertainty", "--n-points", "1024",
+                                       "--format", "json"),
+    "kk_n_points_8192_half_extent_128.json": ("verify", "kk", "--n-points", "8192",
+                                              "--half-extent", "128", "--format", "json"),
+    "all_hbar_2_seed_5.json": ("verify", "all", "--hbar", "2", "--seed", "5", "--format", "json"),
 }
 
 

@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
-from qpb.errors import ConfigurationError
+from qpb.errors import ConfigurationError, DegenerateStateError
 from qpb.grids import WaveFunction, inner_product, make_uniform_grid, normalize
 from qpb.states import (
     _band_basis,
+    _hermite,
     conjugate_gaussian_pair,
     gaussian,
     gaussian_3d,
@@ -38,6 +42,72 @@ def test_oscillator_eigenstate_parity():
         flipped = v[np.arange(255, -1, -1) % 256]
         sign = (-1.0) ** n
         assert np.max(np.abs(v[1:] - sign * flipped[:-1])) < 1e-12
+
+
+def _hermval_eigenstate(grid, n, sigma):
+    """oscillator_eigenstate as built through numpy.polynomial's hermval: the
+    oracle for the bits of the inlined Clenshaw steps."""
+    x = grid.axis_points()
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    h = hermval(x / sigma, coeffs)
+    v = h * np.exp(-(x**2) / (2.0 * sigma**2))
+    v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi) * sigma)
+    return normalize(WaveFunction(grid=grid, representation="position", values=v.astype(np.complex128)))
+
+
+def _state_bits(build, grid, n, sigma):
+    try:
+        return build(grid, n, sigma).values.tobytes()
+    except DegenerateStateError:
+        return "degenerate"
+
+
+HERMITE_GRIDS = [64, 256, 1024, 4096]
+HERMITE_SIGMAS = [0.7, 1.0, 1.3]
+
+
+@pytest.mark.parametrize("sigma", HERMITE_SIGMAS)
+@pytest.mark.parametrize("n_points", HERMITE_GRIDS)
+def test_oscillator_eigenstate_is_bit_equal_to_hermval(n_points, sigma):
+    grid = make_uniform_grid(1, n_points, 16.0)
+    for n in range(21):
+        got = oscillator_eigenstate(grid, n, sigma).values
+        assert got.tobytes() == _hermval_eigenstate(grid, n, sigma).values.tobytes(), n
+
+
+# at half-extent 1e17, H_n(x / sigma) overflows near the edges for the larger
+# n: inf, and NaN where the Clenshaw steps then subtract or scale infinities.
+# The Gaussian factor underflows off x = 0, so the states are the samples at
+# x = 0 alone, or degenerate where an overflow leaves a non-finite norm.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_hermite_overflows_to_the_same_inf_and_nan_as_hermval():
+    seen_inf = seen_nan = False
+    for n_points in HERMITE_GRIDS:
+        grid = make_uniform_grid(1, n_points, 1e17)
+        for sigma in HERMITE_SIGMAS:
+            x = grid.axis_points() / sigma
+            for n in range(21):
+                coeffs = np.zeros(n + 1)
+                coeffs[n] = 1.0
+                want = hermval(x, coeffs)
+                assert _hermite(x, n).tobytes() == want.tobytes(), (n_points, sigma, n)
+                seen_inf |= bool(np.isinf(want).any())
+                seen_nan |= bool(np.isnan(want).any())
+                assert (_state_bits(oscillator_eigenstate, grid, n, sigma)
+                        == _state_bits(_hermval_eigenstate, grid, n, sigma)), (n_points, sigma, n)
+    assert seen_inf and seen_nan
+
+
+def test_poisson_run_does_not_import_numpy_polynomial():
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "qpb", "verify", "poisson"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "qpb.states" in imported
+    assert not [name for name in imported if name.startswith("numpy.polynomial")]
 
 
 def test_conjugate_pair_members_normalized_on_reciprocal_grids():

@@ -185,6 +185,21 @@ def test_nan_inside_a_check_fails_it(monkeypatch, check_id, suite, name, index, 
     assert not report.passed
 
 
+def test_hermite_product_fails_on_the_wrong_level(monkeypatch):
+    # level 2 built as level 3: its product reads 3.5 hbar against 2.5 hbar
+    original = suites.oscillator_eigenstate
+
+    def shifted(grid, k, *args, **kwargs):
+        return original(grid, k + 1 if k == 2 else k, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "oscillator_eigenstate", shifted)
+    report = {r.check_id: r for r in run_suite(SuiteConfig(suite="uncertainty"))}[
+        "uncertainty_hermite_product"]
+    assert report.passed is False
+    assert report.residual == pytest.approx(1.0, abs=1e-9)
+    assert report.context["products"][1] == pytest.approx(3.5, abs=1e-9)
+
+
 def test_weyl_n_trunc_floor_follows_oracle_degree():
     for suite in ("weyl", "all"):
         with pytest.raises(ConfigurationError):
