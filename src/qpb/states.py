@@ -51,12 +51,21 @@ def _hermite(x: np.ndarray, n: int) -> np.ndarray:
     return c0 + c1 * x2
 
 
+# the largest level whose norm factor 2^n n! sqrt(pi) is a finite float
+MAX_OSCILLATOR_LEVEL = 150
+
+
 def oscillator_eigenstate(grid: UniformGrid, n: int, sigma: float = 1.0) -> WaveFunction:
-    """n-th weighted-Hermite state H_n(x/sigma) exp(-x^2 / 2 sigma^2), normalized."""
+    """n-th weighted-Hermite state H_n(x/sigma) exp(-x^2 / 2 sigma^2), normalized,
+    for 0 <= n <= MAX_OSCILLATOR_LEVEL."""
     if grid.dim != 1:
         raise ConfigurationError("oscillator_eigenstate builds 1D states")
     if n < 0:
         raise ConfigurationError("n must be nonnegative")
+    if n > MAX_OSCILLATOR_LEVEL:
+        raise ConfigurationError(
+            f"oscillator level {n} exceeds {MAX_OSCILLATOR_LEVEL}, the largest whose "
+            f"norm factor 2^n n! is a finite float")
     if not sigma > 0:
         raise ConfigurationError("sigma must be positive")
     x = grid.axis_points()

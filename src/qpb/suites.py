@@ -107,11 +107,18 @@ MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
 # whose normal ordering adds one hbar per contraction: at most one per pair
 # of the 2 * ORACLE_TERM_DEGREE letters of a product
 WEYL_HBAR_DEGREE = 2 + ORACLE_TERM_DEGREE
+# so the oracle's entries grow as hbar^WEYL_HBAR_DEGREE n_trunc^ORACLE_TERM_DEGREE:
+# each contraction trades two letters of size ~sqrt(hbar n_trunc) for one
+# hbar. A draw's three terms, each coefficient of modulus <= 6.2 times at most
+# hbar, give its matrix row sums below 3 * 6.2 * hbar * (2 hbar n_trunc)^2, so
+# every entry of A B - B A stays below WEYL_ENTRY_FACTOR hbar^6 n_trunc^4 (the
+# most seen over 43 seeds at n_trunc 64, 96 and 512 is 29). This bound
+# also keeps HbarPoly.evaluate's Python float hbar ** 6 finite
+WEYL_ENTRY_FACTOR = 2 * (3 * 6.2 * 4) ** 2
 # A Python float power raises OverflowError where numpy returns inf, so each
 # value a suite raises to a power p in Python floats must keep value ** p
 # within the float range: (parameter, exponent p, suites, where it is raised)
 _POWER_BOUNDS = (
-    ("hbar", WEYL_HBAR_DEGREE, ("weyl",), "HbarPoly.evaluate's hbar ** degree"),
     ("hbar", 2, ("kk",), "conjugate_gaussian_pair's hbar ** 2"),
     ("hbar", -2, ("kk",), "conjugate_gaussian_pair's division by hbar ** 2"),
     ("hbar", -1.5, ("fourier",),
@@ -157,6 +164,15 @@ class SuiteConfig:
                 raise ConfigurationError(
                     f"{name} {value} is out of range for {self.suite}: {site} overflows; "
                     f"{name} must stay {side} about {sys.float_info.max ** (1.0 / power):.3g}")
+        growth = (math.log(WEYL_ENTRY_FACTOR) + WEYL_HBAR_DEGREE * math.log(self.hbar)
+                  + ORACLE_TERM_DEGREE * math.log(self.n_trunc))
+        if self.suite in ("weyl", "all") and growth > log_max:
+            limit = math.exp((log_max - growth) / WEYL_HBAR_DEGREE) * self.hbar
+            raise ConfigurationError(
+                f"hbar {self.hbar} is out of range for {self.suite} at n_trunc {self.n_trunc}: "
+                f"the bound {WEYL_ENTRY_FACTOR:.3g} hbar^{WEYL_HBAR_DEGREE} "
+                f"n_trunc^{ORACLE_TERM_DEGREE} on weyl_matrix_oracle's entries overflows; "
+                f"at this n_trunc hbar must stay below about {limit:.3g}")
         budget = f"the {MEMORY_BUDGET_BYTES // 2**20} MiB memory budget"
         if self.n_trunc > MAX_N_TRUNC:
             raise ResourceBoundError(f"n_trunc {self.n_trunc} exceeds {MAX_N_TRUNC}, "
@@ -364,6 +380,54 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     return [r_oracle, r_refine, r_kk, r_wrong, r_phase]
 
 
+def _oracle_block_pairs(n_trunc: int, deg_a: int, deg_b: int) -> int:
+    """Pairs per block of weyl_matrix_oracle's degree class (deg_a, deg_b):
+    as many as keep the block's A, B, [A, B], N, A B, B A and A B - B A
+    within BLOCK_SAMPLES entries, and at least one."""
+    rows = 2 * (2 * deg_a + 1) + (2 * deg_b + 1) + 4 * (2 * (deg_a + deg_b) + 1)
+    return max(1, BLOCK_SAMPLES // (rows * n_trunc))
+
+
+def _oracle_polys(a, b):
+    """The four polynomials weyl_matrix_oracle realizes for a pair, in order:
+    a, b, [a, b] and a's normal form."""
+    return a, b, commutator_poly(a, b), a.normal_form()
+
+
+def _oracle_stacks(pairs: list, degrees: tuple[int, int], n_trunc: int,
+                   hbar: float) -> tuple[np.ndarray, ...]:
+    """Each pair's four realizations (_oracle_polys, realized in that order),
+    stacked along a leading block axis at the class's half-widths deg a,
+    deg b, deg a + deg b and deg a; a lower-degree [a, b] or normal form
+    sits zero-padded in the middle rows. A block of one pair is its four 2D
+    bands as realized, not copies."""
+    if len(pairs) == 1:
+        return tuple(matrix_realize(q, n_trunc, hbar) for q in _oracle_polys(*pairs[0]))
+    deg_a, deg_b = degrees
+    stacks = tuple(np.zeros((len(pairs), 2 * k + 1, n_trunc), dtype=np.complex128)
+                   for k in (deg_a, deg_b, deg_a + deg_b, deg_a))
+    for row, pair in enumerate(pairs):
+        for stack, q in zip(stacks, _oracle_polys(*pair)):
+            band = matrix_realize(q, n_trunc, hbar)
+            pad = (stack.shape[1] - len(band)) // 2
+            stack[row, pad:pad + len(band)] = band
+    return stacks
+
+
+def _oracle_blocks(rng: np.random.Generator, n_trunc: int):
+    """weyl_matrix_oracle's draws, as (degree class, pairs) blocks in the
+    order they fill; the classes' partial blocks follow the last draw."""
+    queues: dict[tuple[int, int], list] = {}
+    for _ in range(N_ORACLE_DRAWS):
+        a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
+        b = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
+        degrees = (a.total_degree(), b.total_degree())
+        queues.setdefault(degrees, []).append((a, b))
+        if len(queues[degrees]) == _oracle_block_pairs(n_trunc, *degrees):
+            yield degrees, queues.pop(degrees)
+    yield from queues.items()
+
+
 def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
     i_hbar = poly_of("i*hbar")
     x, p = poly_of("X"), poly_of("P")
@@ -398,24 +462,28 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_trunc
+    # Each pair waits in the queue of its degree class (deg a, deg b), whose
+    # bands all have one shape. A class's block is checked once it holds
+    # _oracle_block_pairs pairs: the most whose A, B, [A, B], N, A B, B A and
+    # A B - B A fit in BLOCK_SAMPLES entries, and at least one
     residuals = []
-    for _ in range(N_ORACLE_DRAWS):
-        a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
-        b = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
-        m_a = matrix_realize(a, n, cfg.hbar)
-        m_b = matrix_realize(b, n, cfg.hbar)
-        symbolic = matrix_realize(commutator_poly(a, b), n, cfg.hbar)
-        nf = matrix_realize(a.normal_form(), n, cfg.hbar)
+    for (deg_a, deg_b), pairs in _oracle_blocks(rng, n):
+        m_a, m_b, symbolic, nf = _oracle_stacks(pairs, (deg_a, deg_b), n, cfg.hbar)
         ab = band_product(m_a, m_b)
         direct = ab - band_product(m_b, m_a)
         # commutator entries cancel to ~eps of the products' entries, so the
         # defensible scale is the product magnitude, not the block magnitude
         residuals += [
-            protected_defect(symbolic, direct, max(a.total_degree() + b.total_degree(), 1))
-            / (1.0 + float(np.max(np.abs(ab)))),
-            protected_defect(nf, m_a, max(a.total_degree(), 1))
-            / (1.0 + float(np.max(np.abs(m_a)))),
+            worst(protected_defect(symbolic, direct, max(deg_a + deg_b, 1))
+                  / (1.0 + np.max(np.abs(ab), axis=(-2, -1)))),
+            worst(protected_defect(nf, m_a, max(deg_a, 1))
+                  / (1.0 + np.max(np.abs(m_a), axis=(-2, -1)))),
         ]
+        # the bands go now, the products when the next block's replace them,
+        # as in a per-draw loop: freeing a whole block at once lets the heap
+        # shrink and fault back in for the next (three times the minor
+        # faults at n_trunc 1024)
+        del m_a, m_b, symbolic, nf
     r_oracle = make_report(
         "weyl_matrix_oracle", worst(residuals), cfg.tol("weyl_matrix_oracle"),
         context={"n_draws": N_ORACLE_DRAWS, "n_trunc": n,

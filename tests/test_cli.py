@@ -178,7 +178,8 @@ def test_values_a_suite_power_overflows_are_config_errors_before_any_check(
     assert err.count("\n") == 1
 
 
-# bounds: weyl hbar <= 2.38e51 (hbar ** 6), kk 7.46e-155 <= hbar <= 1.34e154
+# bounds: weyl hbar <= 3.15e49 at n_trunc 64 (1.11e4 hbar ** 6 n_trunc ** 4),
+# kk 7.46e-155 <= hbar <= 1.34e154
 # (hbar ** 2 and its inverse), fourier hbar >= 3.14e-206 (hbar ** -1.5),
 # half_extent <= 1.34e154 (half_extent ** 2). Just inside them numpy's own
 # arithmetic overflows to inf in places and warns; the run still has to end
@@ -186,7 +187,7 @@ def test_values_a_suite_power_overflows_are_config_errors_before_any_check(
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
-    ["weyl", "--hbar", "2.3e51"],
+    ["weyl", "--hbar", "3.1e49"],
     ["kk", "--hbar", "1.3e154"],
     ["kk", "--hbar", "7.5e-155"],
     ["fourier", "--hbar", "3.2e-206"],
@@ -194,6 +195,30 @@ def test_values_a_suite_power_overflows_are_config_errors_before_any_check(
 ])
 def test_values_just_inside_the_power_bounds_end_in_a_verdict(argv, tmp_path):
     assert main(["verify", *argv, "--format", "json", "--out", str(tmp_path / "r.json")]) in (0, 1)
+
+
+@pytest.mark.parametrize("hbar,n_trunc", [("1e50", "96"), ("1e51", "64"), ("1e50", "64")])
+def test_weyl_entries_beyond_the_float_range_are_config_errors_before_any_check(
+        hbar, n_trunc, monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert main(["verify", "weyl", "--hbar", hbar, "--n-trunc", n_trunc]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: hbar {float(hbar)} is out of range for weyl at n_trunc {n_trunc}")
+    assert "hbar^6 n_trunc^4" in err and "must stay below about" in err
+    assert err.count("\n") == 1
+
+
+# warnings are errors here, so these runs overflow nowhere
+@pytest.mark.parametrize("hbar", ["1e45", "1e40"])
+def test_large_hbar_inside_the_weyl_entry_bound_passes_at_n_trunc_2048(hbar, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "weyl", "--hbar", hbar, "--n-trunc", "2048", "--format", "json",
+                 "--out", str(out)]) == 0
+    rows = {row["check_id"]: row for row in json.loads(out.read_text())}
+    assert 0.0 < rows["weyl_matrix_oracle"]["residual"] <= 1e-10
 
 
 def test_ladder_json_records_the_truncation_corner(tmp_path):

@@ -14,6 +14,10 @@ DATA = Path(__file__).with_name("data")
 # golden file -> the qpb arguments that write it
 CORPUS = {
     "weyl_n_trunc_96.json": ("verify", "weyl", "--n-trunc", "96", "--format", "json"),
+    "weyl_n_trunc_9_seed_7.json": ("verify", "weyl", "--n-trunc", "9", "--seed", "7",
+                                   "--format", "json"),
+    "weyl_hbar_0.37_n_trunc_256_seed_11.json": ("verify", "weyl", "--hbar", "0.37", "--n-trunc",
+                                                "256", "--seed", "11", "--format", "json"),
     "ladder_n_trunc_512.json": ("verify", "ladder", "--n-trunc", "512", "--format", "json"),
     "ladder_hbar_0.3_omega_2_n_trunc_200.json": ("verify", "ladder", "--hbar", "0.3", "--omega",
                                                  "2.0", "--n-trunc", "200", "--format", "json"),

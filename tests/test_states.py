@@ -9,6 +9,7 @@ from numpy.polynomial.hermite import hermval
 from qpb.errors import ConfigurationError, DegenerateStateError
 from qpb.grids import WaveFunction, inner_product, make_uniform_grid, normalize
 from qpb.states import (
+    MAX_OSCILLATOR_LEVEL,
     _band_basis,
     _hermite,
     conjugate_gaussian_pair,
@@ -162,6 +163,19 @@ def test_random_band_limited_bit_equal_to_inline_construction():
             assert np.array_equal(got.values, _inline_band_limited(grid, slow).values)
     waves, envelope = _band_basis(grid_a, 6, 8.0)
     assert not waves.flags.writeable and not envelope.flags.writeable
+
+
+@pytest.mark.parametrize("n", [MAX_OSCILLATOR_LEVEL + 1, 171, 400])
+def test_oscillator_levels_past_the_float_norm_are_config_errors(n):
+    grid = make_uniform_grid(1, 64, 8.0)
+    with pytest.raises(ConfigurationError, match=f"level {n} exceeds {MAX_OSCILLATOR_LEVEL}"):
+        oscillator_eigenstate(grid, n)
+
+
+def test_the_largest_oscillator_level_is_a_normalized_state():
+    # 2^150 150! sqrt(pi) is 1.45e308, just inside the float range
+    psi = oscillator_eigenstate(make_uniform_grid(1, 256, 8.0), MAX_OSCILLATOR_LEVEL)
+    assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_validation():

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from qpb import suites
 from qpb.errors import ConfigurationError, ResourceBoundError
 from qpb.kk import phase_equivalence
 from qpb.report import CHECKS, emit_report, make_report
-from qpb.symbolic import HbarPoly
+from qpb.symbolic import HbarPoly, band_product, matrix_realize, random_operator_poly
 from qpb.suites import KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, _fold, run_suite
 
 EXPECTED_PER_SUITE = {
@@ -239,6 +240,33 @@ def test_power_bounds_apply_to_the_suites_that_raise_the_power():
     SuiteConfig(suite="ladder", hbar=1e-300, half_extent=1e300)
     with pytest.raises(ConfigurationError, match="half_extent"):
         SuiteConfig(suite="uncertainty", half_extent=1e300)
+
+
+def test_weyl_entry_bound_scales_hbar_with_n_trunc():
+    def limit(n_trunc):
+        return (sys.float_info.max / (suites.WEYL_ENTRY_FACTOR * n_trunc**4)) ** (1 / 6)
+
+    for n_trunc in (9, 64, 96, 2048):
+        for suite in ("weyl", "all"):
+            SuiteConfig(suite=suite, n_trunc=n_trunc, hbar=0.99 * limit(n_trunc))
+            with pytest.raises(ConfigurationError, match="hbar"):
+                SuiteConfig(suite=suite, n_trunc=n_trunc, hbar=1.01 * limit(n_trunc))
+    # only weyl realizes the oracle's products
+    SuiteConfig(suite="ladder", n_trunc=2048, hbar=1e50)
+
+
+def test_weyl_entry_factor_bounds_the_realized_products():
+    hbar, n_trunc = 1e40, 64
+    rng = np.random.default_rng(0)
+    largest = 0.0
+    for _ in range(suites.N_ORACLE_DRAWS):
+        a, b = (random_operator_poly(rng, max_degree=suites.ORACLE_TERM_DEGREE, n_terms=3)
+                for _ in range(2))
+        m_a, m_b = matrix_realize(a, n_trunc, hbar), matrix_realize(b, n_trunc, hbar)
+        largest = max(largest, float(np.max(np.abs(
+            band_product(m_a, m_b) - band_product(m_b, m_a)))))
+    growth = largest / (hbar**suites.WEYL_HBAR_DEGREE * n_trunc**suites.ORACLE_TERM_DEGREE)
+    assert 1.0 < growth < suites.WEYL_ENTRY_FACTOR
 
 
 def test_weyl_hbar_degree_is_the_largest_power_weyl_evaluates(monkeypatch):
