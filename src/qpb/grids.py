@@ -135,14 +135,20 @@ class WaveFunction:
             values=values,
         )
 
-    def _with_fresh(self, values: np.ndarray) -> "WaveFunction":
-        """with_values without the copy, for a complex array that the caller
-        has just computed and holds no other reference to."""
+    @staticmethod
+    def _fresh(grid: UniformGrid, representation: str, values: np.ndarray) -> "WaveFunction":
+        """The constructor without the copy, for a complex array that the
+        caller has just computed and holds no other reference to; the
+        checks still run."""
         psi = object.__new__(WaveFunction)
-        object.__setattr__(psi, "grid", self.grid)
-        object.__setattr__(psi, "representation", self.representation)
+        object.__setattr__(psi, "grid", grid)
+        object.__setattr__(psi, "representation", representation)
         psi._keep(values)
         return psi
+
+    def _with_fresh(self, values: np.ndarray) -> "WaveFunction":
+        """with_values without the copy (see `_fresh`)."""
+        return WaveFunction._fresh(self.grid, self.representation, values)
 
     def norm(self) -> float:
         return float(norm_block(self.values, self.grid))
@@ -160,22 +166,53 @@ def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
 # Samples per dot product. OpenBLAS splits a dot of more than 10000 samples
 # over its threads, so a longer row's bits would depend on the thread count.
 ROW_SAMPLES = 4096
+# Samples per piece of streamed work, so that a piece's arrays stay in cache:
+# seeded 1D state families go through the kernels in blocks of 64 states at
+# 256 points and 16 at 1024, a 3D state in `slabs` of 4 rows of 64 x 64 at
+# 64^3, and weyl's oracle in blocks of draws with as many band entries.
+BLOCK_SAMPLES = 2**14
+
+
+def slabs(grid: UniformGrid, *whole_axes: int):
+    """Index tuples that cut the samples of `grid` into slabs of at most
+    BLOCK_SAMPLES samples (and at least one line) along its first axis that is
+    neither in `whole_axes` nor the last. Every line along a whole axis and
+    every row of the last axis lies whole inside one slab, so an FFT along a
+    whole axis and `row_dots` act on a slab as on the full array. With no such
+    axis (a 1D grid, or both leading 3D axes whole) the one slab is the grid."""
+    free = [a for a in range(grid.dim - 1) if a not in whole_axes]
+    axis = free[0] if free else 0
+    width = max(1, BLOCK_SAMPLES * grid.n_points // grid.size) if free else grid.n_points
+    for start in range(0, grid.n_points, width):
+        index = [slice(None)] * grid.dim
+        index[axis] = slice(start, start + width)
+        yield tuple(index)
+
+
+def row_dots(a_values: np.ndarray, b_values: np.ndarray, grid: UniformGrid,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """conj(a) . b of two arrays of one shape, one dot per row along the last
+    grid axis (rows of ROW_SAMPLES on a longer 1D grid), each conjugated,
+    multiplied and added in one vecdot pass; shaped as the arrays with the
+    last axis cut to its row count. `out` may view a larger row-dot array."""
+    shape = np.shape(a_values)[:-1] + (-1, min(grid.n_points, ROW_SAMPLES))
+    return np.vecdot(np.reshape(a_values, shape), np.reshape(b_values, shape), out=out)
+
+
+def sum_row_dots(rows: np.ndarray, grid: UniformGrid):
+    """Riemann inner products from whole states' row dots: a pairwise sum of
+    each state's row dots, in their order, times the cell volume."""
+    rows = rows.reshape(rows.shape[:rows.ndim - grid.dim] + (-1,))
+    return np.sum(rows, axis=-1) * grid.spacing**grid.dim
 
 
 def inner_product_block(a_values: np.ndarray, b_values: np.ndarray, grid: UniformGrid):
     """Riemann inner products <a|b> of the states in two blocks of the same
-    shape on `grid`.
-
-    One vecdot per row along the last grid axis (rows of ROW_SAMPLES on a
-    longer 1D grid) conjugates, multiplies and adds in a single pass; a
-    pairwise sum then adds the row dots. Each state's rows are reduced alone
-    and in the same order, so a block row gets the bits of the state on its
-    own.
+    shape on `grid`: `row_dots`, then `sum_row_dots`. Each state's rows are
+    reduced alone and in the same order, so a block row gets the bits of the
+    state on its own.
     """
-    row = min(grid.n_points, ROW_SAMPLES)
-    rows = np.vecdot(*(np.reshape(x, np.shape(x)[:-1] + (-1, row)) for x in (a_values, b_values)))
-    rows = rows.reshape(rows.shape[:rows.ndim - grid.dim] + (-1,))
-    return np.sum(rows, axis=-1) * grid.spacing**grid.dim
+    return sum_row_dots(row_dots(a_values, b_values, grid), grid)
 
 
 def norm_block(values: np.ndarray, grid: UniformGrid):

@@ -27,9 +27,11 @@ inverse FFT in place in its own spectrum, so a derivative allocates one
 array the size of its input. `_apply_block(..., overwrite=True)` is the one
 private path that writes into its input: the caller hands over an array it
 owns, and a multiplication or spectral derivative (forward FFT included)
-runs in place there. `commutator_apply` and `commutator_expectation_matrix`
-use it for the operator they apply last. `apply` and `commutator_apply`
-hand their fresh result to the WaveFunction they return without copying it.
+runs in place there. The commutator kernels use it for the operator they
+apply last. `apply` and `commutator_apply` hand their fresh result to the
+WaveFunction they return without copying it. The 3D kernels
+`commutator_expectation_matrix` and `commutator_interior_max` stream their
+state through `grids.slabs`, so they hold no array the size of a state.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ import numpy as np
 from .errors import (
     BoundaryContaminationError,
     ConfigurationError,
+    DegenerateStateError,
     IncompatibleOperandsError,
     RepresentationError,
 )
-from .grids import UniformGrid, WaveFunction, boundary_mass, inner_product_block
-from .report import CheckReport, make_report
+from .grids import UniformGrid, WaveFunction, boundary_mass, row_dots, slabs, sum_row_dots
+from .report import CheckReport, make_report, worst
 from .transforms import reciprocal_grid, transform_block
 
 OPERATOR_KINDS = ("position_multiply", "momentum_spectral", "momentum_finite_difference")
@@ -248,31 +251,83 @@ def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float 
     )
 
 
+def _require_3d_position(psi: WaveFunction, name: str) -> None:
+    if psi.grid.dim != 3:
+        raise ConfigurationError(f"{name} needs a 3D state")
+    if psi.representation != "position":
+        raise RepresentationError(f"{name} checks position-representation states")
+
+
+def _apply_slab(op: GridOperator, values: np.ndarray, grid: UniformGrid, index: tuple,
+                overwrite: bool = False) -> np.ndarray:
+    """_apply_block on `values`, the slab `index` (from `grids.slabs`) of a
+    position-representation state on `grid`, whole along a momentum
+    operator's axis; X_m multiplies by the slab's own coordinates."""
+    if op.kind == "position_multiply":
+        x = np.broadcast_to(grid.coordinate(op.axis), grid.shape)[index]
+        return np.multiply(x, values, out=values if overwrite else None)
+    return _apply_block(op, values, grid, overwrite=overwrite)
+
+
 def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
     """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target.
 
     x_m is real, so <psi|X_m P_n psi> is taken as <X_m psi|P_n psi> and
-    X_m P_n psi is never formed. P_n psi is computed once per n; X_m psi is
-    written into one reused buffer, and after its inner product with P_n psi
-    the spectral P_n runs in place there. So at most psi, P_n psi and that
-    buffer are alive at once; the finite-difference P_n adds its fresh
-    difference array.
+    X_m P_n psi is never formed. For each n the state is read in slabs
+    (`grids.slabs`) that hold whole lines along axis n and whole rows: per
+    slab, P_n psi is formed once, and for each m X_m psi is formed and, after
+    its row dots with P_n psi, turned into P_n X_m psi in place for its row
+    dots with psi. Each inner product's row dots fill one array of a row dot
+    per grid line, which `sum_row_dots` adds as `inner_product_block` would,
+    so every entry has the bits of the full-array loop. Besides psi, the live
+    arrays are a few slabs (1/16 of a state each at 64^3) and the row dots;
+    the boundary-mass precondition's |psi|^2 and mask, 0.73 states at 64^3,
+    set the peak.
     """
-    if psi.grid.dim != 3:
-        raise ConfigurationError("commutator_expectation_matrix needs a 3D state")
-    if psi.representation != "position":
-        raise RepresentationError("commutator_expectation_matrix checks position-representation states")
+    _require_3d_position(psi, "commutator_expectation_matrix")
     _require_boundary_clean(psi)
     g, v = psi.grid, psi.values
+    x_ops = [position_operator(g, m) for m in range(3)]
     out = np.zeros((3, 3), dtype=np.complex128)
-    x_buf = np.empty(g.shape, dtype=np.complex128)
+    # (m, <X_m psi|P_n psi> or <psi|P_n X_m psi>, line): a 3D line is one row
+    rows = np.empty((3, 2) + g.shape[:-1] + (1,), dtype=np.complex128)
     for n in range(3):
         p_n = momentum_operator(g, n, backend=backend)
-        p_psi = apply_block(p_n, v, g)
+        for index in slabs(g, n):
+            v_s = v[index]
+            p_psi = _apply_block(p_n, v_s, g)
+            for m, x_m in enumerate(x_ops):
+                x_psi = _apply_slab(x_m, v_s, g, index)
+                row_dots(x_psi, p_psi, g, out=rows[(m, 0) + index[:-1]])
+                row_dots(v_s, _apply_block(p_n, x_psi, g, overwrite=True), g,
+                         out=rows[(m, 1) + index[:-1]])
+        products = sum_row_dots(rows, g)
         for m in range(3):
-            x_psi = np.multiply(g.coordinate(m), v, out=x_buf)
-            xp = inner_product_block(x_psi, p_psi, g)
-            px = inner_product_block(v, _apply_block(p_n, x_psi, g, overwrite=True), g)
-            out[m, n] = complex(xp - px) / (1j * g.hbar)
-        del p_psi  # freed before the next P_n psi is made
+            out[m, n] = complex(products[m, 0] - products[m, 1]) / (1j * g.hbar)
     return out
+
+
+def commutator_interior_max(a: GridOperator, b: GridOperator, psi: WaveFunction) -> float:
+    """max |(AB - BA) psi| over the samples where |psi| > 1e-6 max |psi|,
+    divided by max |psi|, for a 3D position-representation state.
+
+    The commutator is formed as `commutator_apply` forms it, but one slab at
+    a time (`grids.slabs`, whole along each momentum operator's axis), so no
+    array the size of psi is made. Maxima are exact, so the value has the
+    bits of the full-array expression."""
+    _require_3d_position(psi, "commutator_interior_max")
+    g, v = psi.grid, psi.values
+    if not (a.grid.compatible(g) and b.grid.compatible(g)):
+        raise IncompatibleOperandsError("operators and state live on incompatible grids")
+    whole = [op.axis for op in (a, b) if op.kind != "position_multiply"]
+    peak = worst([np.max(np.abs(v[index])) for index in slabs(g, *whole)])
+    if not 0.0 < peak < math.inf:
+        raise DegenerateStateError("commutator_interior_max needs a nonzero, finite state")
+    maxima = []
+    for index in slabs(g, *whole):
+        v_s = v[index]
+        ab = _apply_slab(a, _apply_slab(b, v_s, g, index), g, index, overwrite=True)
+        ab -= _apply_slab(b, _apply_slab(a, v_s, g, index), g, index, overwrite=True)
+        interior = np.abs(v_s) > 1e-6 * peak
+        maxima.append(np.max(np.abs(ab)[interior], initial=0.0))
+    return worst(maxima) / peak

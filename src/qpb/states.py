@@ -35,7 +35,7 @@ def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0),
     for axis, s in enumerate(sigmas):
         x = grid.coordinate(axis)
         v *= np.exp(-(x**2) / (2.0 * s**2))
-    return WaveFunction(grid=grid, representation=representation, values=normalize_block(v, grid))
+    return WaveFunction._fresh(grid, representation, normalize_block(v, grid))
 
 
 def _hermite(x: np.ndarray, n: int) -> np.ndarray:

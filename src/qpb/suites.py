@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ResourceBoundError
-from .grids import UniformGrid, WaveFunction, make_uniform_grid
+from .grids import BLOCK_SAMPLES, UniformGrid, WaveFunction, make_uniform_grid
 from .kk import (
     AnalyticSignal,
     hilbert_spectral,
@@ -40,8 +40,8 @@ from .moments import (
     vector_uncertainty_check,
 )
 from .operators import (
-    commutator_apply,
     commutator_expectation_matrix,
+    commutator_interior_max,
     corollary_residual_momentum,
     momentum_operator,
     poisson_residual,
@@ -90,9 +90,6 @@ ORACLE_TERM_DEGREE = 4
 WEYL_MIN_N_TRUNC = 2 * ORACLE_TERM_DEGREE + 1
 WRONG_PLANE_FLOOR = 1e-2
 FD_RATIO_FLOOR = 3.5
-# seeded state families stream through the kernels in blocks of this many
-# grid samples: 64 states at 256 points, 16 at 1024
-BLOCK_SAMPLES = 2**14
 # one memory budget bounds the size of a single array: a dense n_trunc x
 # n_trunc complex128 matrix, or 64 complex128 arrays of n_points samples, more
 # than a 1D check keeps alive. Ladder's overlap check (two eigh calls and two
@@ -311,11 +308,8 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     psi3 = gaussian_3d(grid3, sigmas=(1.0, 1.25, 0.8))
     matrix = commutator_expectation_matrix(psi3)
     matrix_defect = float(np.max(np.abs(matrix - np.eye(3))))
-    cross = commutator_apply(position_operator(grid3, axis=0),
-                             momentum_operator(grid3, axis=1), psi3)
-    peak = float(np.max(np.abs(psi3.values)))
-    interior = np.abs(psi3.values) > 1e-6 * peak
-    pointwise = float(np.max(np.abs(cross.values)[interior])) / peak
+    pointwise = commutator_interior_max(position_operator(grid3, axis=0),
+                                        momentum_operator(grid3, axis=1), psi3)
     r_tensor = make_report(
         "tensor_kronecker", worst([matrix_defect, pointwise]), cfg.tol("tensor_kronecker"),
         context={"n_points": n3, "half_extent": half3,

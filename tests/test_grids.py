@@ -13,6 +13,7 @@ from qpb.grids import (
     inner_product,
     make_uniform_grid,
     normalize,
+    slabs,
 )
 
 
@@ -145,3 +146,22 @@ def test_boundary_mass_localized_vs_edge():
     edge[0] = 1.0
     assert boundary_mass(WaveFunction(grid=grid, representation="position", values=center)) == 0.0
     assert boundary_mass(WaveFunction(grid=grid, representation="position", values=edge)) == 1.0
+
+
+@pytest.mark.parametrize("n_points,whole,axis,width", [
+    (64, (0,), 1, 4), (64, (1,), 0, 4), (64, (2,), 0, 4), (64, (0, 2), 1, 4),
+    (32, (1,), 0, 16), (128, (2,), 0, 1), (64, (0, 1), 0, 64),
+])
+def test_slabs_tile_a_3d_grid_keeping_lines_and_rows_whole(n_points, whole, axis, width):
+    grid = make_uniform_grid(3, n_points, 8.0)
+    seen = np.zeros(grid.shape, dtype=np.int8)
+    for index in slabs(grid, *whole):
+        seen[index] += 1
+        shape = seen[index].shape
+        assert shape[axis] == width
+        assert all(shape[a] == n_points for a in range(3) if a != axis)
+    assert np.all(seen == 1)
+
+
+def test_a_1d_grid_is_one_slab():
+    assert list(slabs(make_uniform_grid(1, 65536, 8.0))) == [(slice(0, 65536),)]

@@ -24,7 +24,8 @@ import pytest
 
 from dense_letters import dense_letters, same_band_bits
 from exact_sums import exact_inner, exact_norm
-from qpb.errors import ConfigurationError
+from qpb import grids, operators
+from qpb.errors import ConfigurationError, DegenerateStateError
 from qpb.grids import (
     WaveFunction,
     boundary_mass,
@@ -36,11 +37,13 @@ from qpb.moments import pair_moments_block, vector_uncertainty_check
 from qpb.operators import (
     GridOperator,
     OPERATOR_KINDS,
+    _apply_block,
     _spectral_derivative,
     apply,
     apply_block,
     commutator_apply,
     commutator_expectation_matrix,
+    commutator_interior_max,
     momentum_operator,
     position_operator,
 )
@@ -261,6 +264,95 @@ def test_commutator_matrix_leaves_its_state_and_matches_the_old_loop(backend):
     assert _same_bits(psi.values, kept)
 
 
+def _old_inner(a, b, grid):
+    """inner_product_block as it was before its split into row dots and sum."""
+    row = min(grid.n_points, 4096)
+    rows = np.vecdot(*(np.reshape(x, np.shape(x)[:-1] + (-1, row)) for x in (a, b)))
+    rows = rows.reshape(rows.shape[:rows.ndim - grid.dim] + (-1,))
+    return np.sum(rows, axis=-1) * grid.spacing**grid.dim
+
+
+def _old_matrix(psi, backend):
+    """commutator_expectation_matrix's full-array loop: P_n psi once per n,
+    X_m psi in one reused buffer that turns into P_n X_m psi in place."""
+    g, v = psi.grid, psi.values
+    out = np.zeros((3, 3), dtype=np.complex128)
+    x_buf = np.empty(g.shape, dtype=np.complex128)
+    for n in range(3):
+        p_n = momentum_operator(g, n, backend=backend)
+        p_psi = apply_block(p_n, v, g)
+        for m in range(3):
+            x_psi = np.multiply(g.coordinate(m), v, out=x_buf)
+            xp = _old_inner(x_psi, p_psi, g)
+            px = _old_inner(v, _apply_block(p_n, x_psi, g, overwrite=True), g)
+            out[m, n] = complex(xp - px) / (1j * g.hbar)
+    return out
+
+
+def _old_interior_max(a, b, psi):
+    """The tensor_kronecker check's full-array cross commutator expression."""
+    cross = commutator_apply(a, b, psi)
+    peak = float(np.max(np.abs(psi.values)))
+    interior = np.abs(psi.values) > 1e-6 * peak
+    return float(np.max(np.abs(cross.values)[interior])) / peak
+
+
+# (X axis, P axis): the slab axis is X's, is whole for X, or is the other one
+CROSS_AXES = [(0, 1), (1, 0), (2, 2), (0, 0)]
+
+
+@pytest.mark.parametrize("n_points", [32, 64])
+@pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
+@pytest.mark.parametrize("backend", ["spectral", "finite_difference"])
+def test_streamed_3d_kernels_match_the_full_array_loops_bit_for_bit(n_points, hbar, backend):
+    grid = make_uniform_grid(3, n_points, 8.0, hbar=hbar)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    kept = np.array(psi.values)
+    assert _same_bits(commutator_expectation_matrix(psi, backend=backend), _old_matrix(psi, backend))
+    for x_axis, p_axis in CROSS_AXES:
+        x_op, p_op = position_operator(grid, x_axis), momentum_operator(grid, p_axis, backend)
+        assert _same_bits(commutator_interior_max(x_op, p_op, psi),
+                          _old_interior_max(x_op, p_op, psi)), (x_axis, p_axis)
+    assert _same_bits(psi.values, kept)
+
+
+@pytest.mark.parametrize("block_samples", [2**12, 2**15, 2**16, 2**18])
+def test_streamed_3d_kernels_keep_their_bits_at_any_slab_width(monkeypatch, block_samples):
+    """Slabs of 1, 8, 16 and all 64 rows of 64 x 64 at 64^3; the shipped 4
+    are the case above."""
+    monkeypatch.setattr(grids, "BLOCK_SAMPLES", block_samples)
+    grid = make_uniform_grid(3, 64, 8.0, hbar=0.7)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    for backend in ("spectral", "finite_difference"):
+        assert _same_bits(commutator_expectation_matrix(psi, backend=backend),
+                          _old_matrix(psi, backend)), backend
+    x_op, p_op = position_operator(grid, 0), momentum_operator(grid, 1)
+    assert _same_bits(commutator_interior_max(x_op, p_op, psi), _old_interior_max(x_op, p_op, psi))
+
+
+def test_commutator_interior_max_keeps_a_nan_of_any_slab(monkeypatch):
+    grid = make_uniform_grid(3, 32, 8.0)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    x_op, p_op = position_operator(grid, 0), momentum_operator(grid, 1)
+    original, calls = operators._apply_slab, []
+
+    def spoiled(op, values, *args, **kwargs):
+        calls.append(op)
+        out = original(op, values, *args, **kwargs)
+        return out * math.nan if len(calls) == 3 else out
+
+    monkeypatch.setattr(operators, "_apply_slab", spoiled)
+    assert math.isnan(commutator_interior_max(x_op, p_op, psi))
+    assert len(calls) > 4  # the NaN slab is not the last
+
+
+def test_commutator_interior_max_rejects_a_zero_state():
+    grid = make_uniform_grid(3, 16, 8.0)
+    zero = WaveFunction(grid=grid, representation="position", values=np.zeros(grid.shape))
+    with pytest.raises(DegenerateStateError):
+        commutator_interior_max(position_operator(grid, 0), momentum_operator(grid, 1), zero)
+
+
 @pytest.mark.parametrize("dim,n_points,rows", CASES)
 def test_in_place_inverse_transforms_match_the_out_of_place_expressions(dim, n_points, rows):
     """The spectral derivative runs its inverse FFT, and transform_block its
@@ -315,18 +407,33 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_commutator_matrix_keeps_three_states_alive():
-    """psi, P_n psi and one buffer that holds X_m psi and then, after an
-    in-place spectral derivative, P_n X_m psi: two arrays besides the
-    caller's state. A fresh spectrum, or an inner product with a conjugate
-    product of its own, would make it three. The finite-difference P_n adds
-    its one fresh difference array; two np.roll copies made it four."""
+def test_commutator_matrix_keeps_less_than_one_state_besides_psi():
+    """The matrix streams psi through slabs of 1/16 of a state at 64^3, so
+    besides the caller's state it holds a few slabs, the row dots, and
+    boundary_mass's |psi|^2 and mask (0.73 states with either backend). The
+    full-array loop kept P_n psi and one buffer (2.03 states), and the
+    finite-difference P_n its fresh difference array too (3.10)."""
     grid = make_uniform_grid(3, 64, 8.0)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
     state = psi.values.nbytes
-    assert _traced_peak(lambda: commutator_expectation_matrix(psi)) < 2.5 * state
-    assert _traced_peak(lambda: commutator_expectation_matrix(
-        psi, backend="finite_difference")) < 3.5 * state
+    for backend in ("spectral", "finite_difference"):
+        assert _traced_peak(lambda: commutator_expectation_matrix(psi, backend=backend)) \
+            < 1.0 * state, backend
+
+
+def test_commutator_interior_max_keeps_less_than_one_state_besides_psi():
+    """Slab by slab, with no full-size commutator, |.| or mask: commutator_apply
+    and the mask expression it replaced held 2.03 states."""
+    grid = make_uniform_grid(3, 64, 8.0)
+    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
+    x_op, p_op = position_operator(grid, 0), momentum_operator(grid, 1)
+    assert _traced_peak(lambda: commutator_interior_max(x_op, p_op, psi)) < 1.0 * psi.values.nbytes
+
+
+def test_gaussian_3d_keeps_its_array_without_a_copy():
+    grid = make_uniform_grid(3, 64, 8.0)
+    peak = _traced_peak(lambda: gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8)))
+    assert peak < 1.25 * 16 * grid.size
 
 
 def test_commutator_apply_keeps_two_states_besides_psi():
