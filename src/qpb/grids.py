@@ -14,6 +14,7 @@ size of a state, within Higham's dot-product and pairwise-sum bounds (README,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -151,7 +152,10 @@ class WaveFunction:
         return WaveFunction._fresh(self.grid, self.representation, values)
 
     def norm(self) -> float:
-        return float(norm_block(self.values, self.grid))
+        """The norm, computed on the first call and kept: the values are read-only."""
+        if "_norm" not in self.__dict__:
+            object.__setattr__(self, "_norm", float(norm_block(self.values, self.grid)))
+        return self._norm
 
 
 def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
@@ -246,22 +250,24 @@ def normalize(psi: WaveFunction) -> WaveFunction:
 
 
 def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
-    """Fraction of |psi|^2 within `cells` samples of the boundary along any axis."""
-    mass = np.abs(psi.values)
-    np.square(mass, out=mass)
-    total = float(np.sum(mass))
+    """Fraction of |psi|^2 within `cells` samples of the boundary along any
+    axis, read slab by slab (`slabs`): a 1D state is one slab, so its two
+    sums are numpy's sums over the whole state."""
+    g = psi.grid
+    edge = np.zeros(g.n_points, dtype=bool)
+    edge[:cells] = edge[g.n_points - cells:] = True
+    near = functools.reduce(np.logical_or, (
+        edge.reshape([-1 if a == axis else 1 for a in range(g.dim)]) for axis in range(g.dim)))
+    totals, edges = [], []
+    for index in slabs(g):
+        mass = np.abs(psi.values[index])
+        np.square(mass, out=mass)
+        totals.append(np.sum(mass))
+        edges.append(np.sum(mass[near[index]]))
+    total = float(np.sum(totals))
     if total == 0.0:
         return 0.0
-    n = psi.grid.n_points
-    mask = np.zeros(n, dtype=bool)
-    mask[:cells] = True
-    mask[n - cells:] = True
-    full = np.zeros(psi.grid.shape, dtype=bool)
-    for axis in range(psi.grid.dim):
-        shape = [1] * psi.grid.dim
-        shape[axis] = n
-        full |= mask.reshape(shape)
-    return float(np.sum(mass[full])) / total
+    return float(np.sum(edges)) / total
 
 
 def boundary_band_fraction(values: np.ndarray, band_divisor: int = 8):

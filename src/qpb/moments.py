@@ -31,8 +31,8 @@ NORMALIZATION_SLACK = 1e-9
 HERMITICITY_SLACK = 1e-10
 
 
-def _require_normalized(values: np.ndarray, grid: UniformGrid) -> None:
-    if not np.all(np.abs(norm_block(values, grid) - 1.0) <= NORMALIZATION_SLACK):
+def _require_normalized(norms) -> None:
+    if not np.all(np.abs(norms - 1.0) <= NORMALIZATION_SLACK):
         raise PreconditionError("moments are defined for normalized states")
 
 
@@ -62,10 +62,11 @@ def _moments_of(values: np.ndarray, a_values: np.ndarray, grid: UniformGrid) -> 
 
 def moments(psi: WaveFunction, op: GridOperator) -> Moments:
     """Mean, second moment <A psi|A psi> and spread of op on a normalized
-    state: the per-state arithmetic of pair_moments_block, for one operator."""
-    g, v = psi.grid, psi.values
-    _require_normalized(v, g)
-    m = _moments_of(v, apply(op, psi).values, g)
+    state: the per-state arithmetic of pair_moments_block, for one operator.
+    The state's norm is computed once and kept, so repeated calls on one
+    state check it once."""
+    _require_normalized(psi.norm())
+    m = _moments_of(psi.values, apply(op, psi).values, psi.grid)
     return Moments(mean=float(m.mean), second=float(m.second), spread=float(m.spread),
                    mean_imag_residue=float(m.mean_imag_residue))
 
@@ -75,7 +76,7 @@ def pair_moments_block(values: np.ndarray, grid: UniformGrid, op_a: GridOperator
     """Spreads of A and B, their product and <[A, B]> for every state of a
     block, one entry per state. A psi and B psi are computed once each and
     reused for the commutator (AB - BA) psi."""
-    _require_normalized(values, grid)
+    _require_normalized(norm_block(values, grid))
     # each product is freed as soon as it is used, so that with the two
     # arrays of a transform at most four state-sized arrays are alive at once
     a_values = apply_block(op_a, values, grid, representation)
@@ -134,7 +135,7 @@ def vector_uncertainty_check(psi: WaveFunction, mode: str = "bound",
         raise ConfigurationError("vector uncertainty is defined for 3D states")
     if mode not in ("bound", "saturation"):
         raise ConfigurationError("mode must be 'bound' or 'saturation'")
-    # each moments() call checks that psi is normalized
+    # the first moments() call checks that psi is normalized
     products = []
     for axis in range(3):
         mx = moments(psi, position_operator(psi.grid, axis=axis))

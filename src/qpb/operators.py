@@ -29,13 +29,15 @@ private path that writes into its input: the caller hands over an array it
 owns, and a multiplication or spectral derivative (forward FFT included)
 runs in place there. The commutator kernels use it for the operator they
 apply last. `apply` and `commutator_apply` hand their fresh result to the
-WaveFunction they return without copying it. The 3D kernels
-`commutator_expectation_matrix` and `commutator_interior_max` stream their
-state through `grids.slabs`, so they hold no array the size of a state.
+WaveFunction they return without copying it. Coordinates and the derivative
+multiplier i w are cached as read-only complex arrays, so a product with
+them needs no cast buffer. `kronecker_commutators` streams a 3D state
+through `grids.slabs` and holds no array the size of a state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,25 +86,37 @@ def momentum_operator(grid: UniformGrid, axis: int = 0, backend: str = "spectral
     raise ConfigurationError(f"unknown momentum backend {backend!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _derivative_multiplier(n: int, spacing: float, dim: int, axis: int) -> np.ndarray:
+    """i w, read-only, shaped to broadcast along `axis` of a dim-D grid."""
+    w = 2.0 * math.pi * np.fft.fftfreq(n, spacing)
+    w[n // 2] = 0.0  # Nyquist must not leak into odd derivatives
+    shape = [1] * dim
+    shape[axis] = n
+    iw = (1j * w).reshape(shape)
+    iw.flags.writeable = False
+    return iw
+
+
+@functools.lru_cache(maxsize=16)
+def _complex_coordinate(grid: UniformGrid, axis: int) -> np.ndarray:
+    """grid.coordinate(axis) as a read-only complex array: a product with it
+    has the bits of numpy's float-to-complex cast, without the cast buffer."""
+    x = grid.coordinate(axis).astype(np.complex128)
+    x.flags.writeable = False
+    return x
+
+
 def _spectral_derivative(values: np.ndarray, grid: UniformGrid, axis: int,
                          out: np.ndarray | None = None) -> np.ndarray:
     """d/dx_axis of values by FFT; both FFTs run in place in `out` when given
-    (it may be `values` itself), else in one fresh array. The multiplier i w
-    is applied as w, then i, so its only temporary is one real array."""
-    n = grid.n_points
-    # w = 2 pi np.fft.fftfreq(n, spacing), bit for bit, built in place
-    w = np.arange(n, dtype=np.float64)
-    w[(n - 1) // 2 + 1:] -= n
-    w *= 1.0 / (n * grid.spacing)
-    w *= 2.0 * math.pi
-    w[n // 2] = 0.0  # Nyquist must not leak into odd derivatives
-    shape = [1] * grid.dim
-    shape[axis] = n
-    axis -= grid.dim
-    spectrum = np.fft.fft(values, axis=axis, out=out)
-    spectrum *= w.reshape(shape)
-    spectrum *= 1j
-    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    (it may be `values` itself), else in one fresh array, and the cached
+    multiplier i w is applied by one in-place complex multiply, so nothing
+    else the size of `values` is allocated."""
+    iw = _derivative_multiplier(grid.n_points, grid.spacing, grid.dim, axis)
+    spectrum = np.fft.fft(values, axis=axis - grid.dim, out=out)
+    spectrum *= iw
+    return np.fft.ifft(spectrum, axis=axis - grid.dim, out=spectrum)
 
 
 def _central_difference(values: np.ndarray, grid: UniformGrid, axis: int) -> np.ndarray:
@@ -132,7 +146,7 @@ def _apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
     out = values if overwrite else None
     if representation == "position":
         if op.kind == "position_multiply":
-            return np.multiply(grid.coordinate(op.axis), values, out=out)
+            return np.multiply(_complex_coordinate(grid, op.axis), values, out=out)
         if op.kind == "momentum_spectral":
             derivative = _spectral_derivative(values, grid, op.axis, out=out)
         else:
@@ -143,9 +157,9 @@ def _apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
         if op.kind == "position_multiply":
             r_grid = reciprocal_grid(grid)
             pos = transform_block(values, grid, "momentum")
-            pos *= r_grid.coordinate(op.axis)
+            pos *= _complex_coordinate(r_grid, op.axis)
             return transform_block(pos, r_grid, "position")
-        return np.multiply(grid.coordinate(op.axis), values, out=out)
+        return np.multiply(_complex_coordinate(grid, op.axis), values, out=out)
     raise RepresentationError(f"operators act on position or momentum states, got {representation!r}")
 
 
@@ -166,12 +180,23 @@ def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> Wav
     return psi._with_fresh(ab)
 
 
-def _identity_residual(psi: WaveFunction, comm_values: np.ndarray, threshold: float) -> tuple[float, int]:
-    """max |comm - i hbar psi| / max |psi| over samples above the interior mask."""
+def _identity_residual(psi: WaveFunction, bm: float, threshold: float,
+                       backend: str = "spectral") -> tuple[float, dict]:
+    """max |[X, P] psi - i hbar psi| / max |psi| over the samples where
+    |psi| > threshold max |psi|, and its context; bm is psi's boundary mass."""
+    g = psi.grid
+    comm = commutator_apply(position_operator(g), momentum_operator(g, backend=backend), psi)
     peak = float(np.max(np.abs(psi.values)))
     mask = np.abs(psi.values) > threshold * peak
-    resid = np.abs(comm_values - 1j * psi.grid.hbar * psi.values)
-    return float(np.max(resid[mask])) / peak, int(np.sum(mask))
+    resid = np.abs(comm.values - 1j * g.hbar * psi.values)
+    return float(np.max(resid[mask])) / peak, {
+        "boundary_mass": bm,
+        "interior_points": int(np.sum(mask)),
+        "interior_mask_threshold": threshold,
+        "n_points": g.n_points,
+        "half_extent": g.half_extent,
+        "hbar": g.hbar,
+    }
 
 
 def _require_boundary_clean(psi: WaveFunction) -> float:
@@ -198,19 +223,8 @@ def poisson_residual(psi: WaveFunction, interior_mask_threshold: float = 1e-6,
     if psi.representation != "position":
         raise RepresentationError("poisson_residual checks position-representation states")
     g = psi.grid
-    x_op = position_operator(g)
-    p_op = momentum_operator(g, backend=backend)
-    comm = commutator_apply(x_op, p_op, psi)
-    residual, n_interior = _identity_residual(psi, comm.values, interior_mask_threshold)
-    context = {
-        "backend": backend,
-        "boundary_mass": bm,
-        "interior_points": n_interior,
-        "interior_mask_threshold": interior_mask_threshold,
-        "n_points": g.n_points,
-        "half_extent": g.half_extent,
-        "hbar": g.hbar,
-    }
+    residual, context = _identity_residual(psi, bm, interior_mask_threshold, backend)
+    context = {"backend": backend, **context}
     tolerance = None
     if backend != "spectral":
         # residual ~ h^2 max|psi''| / (2 max|psi|) at leading order
@@ -233,101 +247,83 @@ def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float 
     if float(np.max(np.abs(g.values))) == 0.0:
         return make_report("corollary_residual_momentum", 0.0, valid=False,
                            context={"degenerate_input": True, "n_points": g.grid.n_points})
-    bm = _require_boundary_clean(g)
-    r_op = position_operator(g.grid)
-    p_op = momentum_operator(g.grid)
-    comm = commutator_apply(r_op, p_op, g)
-    residual, n_interior = _identity_residual(g, comm.values, interior_mask_threshold)
-    return make_report(
-        "corollary_residual_momentum", residual,
-        context={
-            "boundary_mass": bm,
-            "interior_points": n_interior,
-            "interior_mask_threshold": interior_mask_threshold,
-            "n_points": g.grid.n_points,
-            "half_extent": g.grid.half_extent,
-            "hbar": g.grid.hbar,
-        },
-    )
+    residual, context = _identity_residual(g, _require_boundary_clean(g), interior_mask_threshold)
+    return make_report("corollary_residual_momentum", residual, context=context)
 
 
-def _require_3d_position(psi: WaveFunction, name: str) -> None:
+def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
+    """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target
+    (see `kronecker_commutators`)."""
+    return _commutator_pass(psi, backend, "commutator_expectation_matrix", cross=False)[0]
+
+
+def kronecker_commutators(psi: WaveFunction, backend: str = "spectral") -> tuple[np.ndarray, float]:
+    """The 3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state, and the maximum
+    of |(X_0 P_1 - P_1 X_0) psi| where |psi| > 1e-6 max |psi|, over max |psi|.
+
+    One streamed pass: for each n the state is read in slabs (`grids.slabs`)
+    whole along axis n and along rows. Per slab, P_n psi is formed once; for
+    each m, X_m psi takes its row dots with P_n psi (x_m is real, so
+    <psi|X_m P_n psi> = <X_m psi|P_n psi>) and then turns into P_n X_m psi in
+    place for its row dots with psi. Each inner product's row dots are summed
+    as `inner_product_block` sums them, so every entry has the bits of the
+    full-array loop. The n = 0 pass finds max |psi|; the n = 1 pass forms the
+    cross commutator from the slab's live P_1 psi and P_1 X_0 psi, with the
+    bits of `commutator_apply`. Besides psi it holds a few slabs and the row
+    dots. Raises DegenerateStateError on a zero or non-finite state.
+    """
+    return _commutator_pass(psi, backend, "kronecker_commutators", cross=True)
+
+
+def _commutator_pass(psi: WaveFunction, backend: str, name: str,
+                     cross: bool) -> tuple[np.ndarray, float | None]:
     if psi.grid.dim != 3:
         raise ConfigurationError(f"{name} needs a 3D state")
     if psi.representation != "position":
         raise RepresentationError(f"{name} checks position-representation states")
-
-
-def _apply_slab(op: GridOperator, values: np.ndarray, grid: UniformGrid, index: tuple,
-                overwrite: bool = False) -> np.ndarray:
-    """_apply_block on `values`, the slab `index` (from `grids.slabs`) of a
-    position-representation state on `grid`, whole along a momentum
-    operator's axis; X_m multiplies by the slab's own coordinates."""
-    if op.kind == "position_multiply":
-        x = np.broadcast_to(grid.coordinate(op.axis), grid.shape)[index]
-        return np.multiply(x, values, out=values if overwrite else None)
-    return _apply_block(op, values, grid, overwrite=overwrite)
-
-
-def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
-    """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target.
-
-    x_m is real, so <psi|X_m P_n psi> is taken as <X_m psi|P_n psi> and
-    X_m P_n psi is never formed. For each n the state is read in slabs
-    (`grids.slabs`) that hold whole lines along axis n and whole rows: per
-    slab, P_n psi is formed once, and for each m X_m psi is formed and, after
-    its row dots with P_n psi, turned into P_n X_m psi in place for its row
-    dots with psi. Each inner product's row dots fill one array of a row dot
-    per grid line, which `sum_row_dots` adds as `inner_product_block` would,
-    so every entry has the bits of the full-array loop. Besides psi, the live
-    arrays are a few slabs (1/16 of a state each at 64^3) and the row dots;
-    the boundary-mass precondition's |psi|^2 and mask, 0.73 states at 64^3,
-    set the peak.
-    """
-    _require_3d_position(psi, "commutator_expectation_matrix")
     _require_boundary_clean(psi)
     g, v = psi.grid, psi.values
-    x_ops = [position_operator(g, m) for m in range(3)]
     out = np.zeros((3, 3), dtype=np.complex128)
     # (m, <X_m psi|P_n psi> or <psi|P_n X_m psi>, line): a 3D line is one row
     rows = np.empty((3, 2) + g.shape[:-1] + (1,), dtype=np.complex128)
+    peaks, maxima = [], []
     for n in range(3):
         p_n = momentum_operator(g, n, backend=backend)
+        floor = None
+        if cross and n == 1:
+            peak = worst(peaks)
+            if not 0.0 < peak < math.inf:
+                raise DegenerateStateError(f"{name} needs a nonzero, finite state")
+            floor = 1e-6 * peak
         for index in slabs(g, n):
-            v_s = v[index]
-            p_psi = _apply_block(p_n, v_s, g)
-            for m, x_m in enumerate(x_ops):
-                x_psi = _apply_slab(x_m, v_s, g, index)
-                row_dots(x_psi, p_psi, g, out=rows[(m, 0) + index[:-1]])
-                row_dots(v_s, _apply_block(p_n, x_psi, g, overwrite=True), g,
-                         out=rows[(m, 1) + index[:-1]])
+            if cross and n == 0:
+                peaks.append(np.max(np.abs(v[index])))
+            slab_max = _slab_pass(p_n, v[index], g, index, rows, floor)
+            if floor is not None:
+                maxima.append(slab_max)
         products = sum_row_dots(rows, g)
         for m in range(3):
             out[m, n] = complex(products[m, 0] - products[m, 1]) / (1j * g.hbar)
-    return out
+    return out, worst(maxima) / peak if cross else None
 
 
-def commutator_interior_max(a: GridOperator, b: GridOperator, psi: WaveFunction) -> float:
-    """max |(AB - BA) psi| over the samples where |psi| > 1e-6 max |psi|,
-    divided by max |psi|, for a 3D position-representation state.
-
-    The commutator is formed as `commutator_apply` forms it, but one slab at
-    a time (`grids.slabs`, whole along each momentum operator's axis), so no
-    array the size of psi is made. Maxima are exact, so the value has the
-    bits of the full-array expression."""
-    _require_3d_position(psi, "commutator_interior_max")
-    g, v = psi.grid, psi.values
-    if not (a.grid.compatible(g) and b.grid.compatible(g)):
-        raise IncompatibleOperandsError("operators and state live on incompatible grids")
-    whole = [op.axis for op in (a, b) if op.kind != "position_multiply"]
-    peak = worst([np.max(np.abs(v[index])) for index in slabs(g, *whole)])
-    if not 0.0 < peak < math.inf:
-        raise DegenerateStateError("commutator_interior_max needs a nonzero, finite state")
-    maxima = []
-    for index in slabs(g, *whole):
-        v_s = v[index]
-        ab = _apply_slab(a, _apply_slab(b, v_s, g, index), g, index, overwrite=True)
-        ab -= _apply_slab(b, _apply_slab(a, v_s, g, index), g, index, overwrite=True)
-        interior = np.abs(v_s) > 1e-6 * peak
-        maxima.append(np.max(np.abs(ab)[interior], initial=0.0))
-    return worst(maxima) / peak
+def _slab_pass(p_n: GridOperator, v_s: np.ndarray, grid: UniformGrid, index: tuple,
+               rows: np.ndarray, floor: float | None):
+    """Fill the row dots of slab `index` of psi (values v_s) for column n of
+    the matrix; with `floor`, return the slab's maximum of
+    |(X_0 P_n - P_n X_0) psi| where |psi| > floor. Its arrays die on return."""
+    p_psi = _apply_block(p_n, v_s, grid)
+    work = None
+    # X_0 comes last, so that the cross commutator may overwrite P_n psi
+    for m in (1, 2, 0):
+        x_m = np.broadcast_to(_complex_coordinate(grid, m), grid.shape)[index]
+        x_psi = np.multiply(x_m, v_s, out=work)
+        row_dots(x_psi, p_psi, grid, out=rows[(m, 0) + index[:-1]])
+        work = _apply_block(p_n, x_psi, grid, overwrite=True)
+        row_dots(v_s, work, grid, out=rows[(m, 1) + index[:-1]])
+    if floor is None:
+        return None
+    comm = np.multiply(x_m, p_psi, out=p_psi)
+    comm -= work
+    interior = np.abs(v_s) > floor
+    return np.max(np.abs(comm), where=interior, initial=0.0)

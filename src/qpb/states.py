@@ -31,10 +31,10 @@ def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0),
         raise ConfigurationError("gaussian_3d needs a 3D grid")
     if len(sigmas) != 3 or any(not s > 0 for s in sigmas):
         raise ConfigurationError("sigmas must be three positive widths")
-    v = np.ones(grid.shape, dtype=np.complex128)
-    for axis, s in enumerate(sigmas):
-        x = grid.coordinate(axis)
-        v *= np.exp(-(x**2) / (2.0 * s**2))
+    e = [np.exp(-(grid.coordinate(axis) ** 2) / (2.0 * s**2)) for axis, s in enumerate(sigmas)]
+    # the real product in the real parts has the bits of three complex products
+    v = np.zeros(grid.shape, dtype=np.complex128)
+    np.multiply(e[0] * e[1], e[2], out=v.real)
     return WaveFunction._fresh(grid, representation, normalize_block(v, grid))
 
 

@@ -40,9 +40,8 @@ from .moments import (
     vector_uncertainty_check,
 )
 from .operators import (
-    commutator_expectation_matrix,
-    commutator_interior_max,
     corollary_residual_momentum,
+    kronecker_commutators,
     momentum_operator,
     poisson_residual,
     position_operator,
@@ -306,10 +305,8 @@ def _poisson_checks(cfg: SuiteConfig) -> list[CheckReport]:
     n3, half3 = _GRID_3D
     grid3 = make_uniform_grid(3, n3, half3, cfg.hbar)
     psi3 = gaussian_3d(grid3, sigmas=(1.0, 1.25, 0.8))
-    matrix = commutator_expectation_matrix(psi3)
+    matrix, pointwise = kronecker_commutators(psi3)
     matrix_defect = float(np.max(np.abs(matrix - np.eye(3))))
-    pointwise = commutator_interior_max(position_operator(grid3, axis=0),
-                                        momentum_operator(grid3, axis=1), psi3)
     r_tensor = make_report(
         "tensor_kronecker", worst([matrix_defect, pointwise]), cfg.tol("tensor_kronecker"),
         context={"n_points": n3, "half_extent": half3,

@@ -25,6 +25,8 @@ CORPUS = {
     "poisson_n_points_1024.json": ("verify", "poisson", "--n-points", "1024", "--format", "json"),
     "uncertainty_n_points_1024.json": ("verify", "uncertainty", "--n-points", "1024",
                                        "--format", "json"),
+    "poisson_hbar_0.37.json": ("verify", "poisson", "--hbar", "0.37", "--format", "json"),
+    "uncertainty_hbar_0.37.json": ("verify", "uncertainty", "--hbar", "0.37", "--format", "json"),
     "kk_n_points_8192_half_extent_128.json": ("verify", "kk", "--n-points", "8192",
                                               "--half-extent", "128", "--format", "json"),
     "all_hbar_2_seed_5.json": ("verify", "all", "--hbar", "2", "--seed", "5", "--format", "json"),

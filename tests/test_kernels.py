@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from dense_letters import dense_letters, same_band_bits
-from exact_sums import exact_inner, exact_norm
+from exact_sums import exact_inner, exact_norm, gamma
 from qpb import grids, operators
 from qpb.errors import ConfigurationError, DegenerateStateError
 from qpb.grids import (
@@ -38,12 +38,14 @@ from qpb.operators import (
     GridOperator,
     OPERATOR_KINDS,
     _apply_block,
+    _complex_coordinate,
+    _derivative_multiplier,
     _spectral_derivative,
     apply,
     apply_block,
     commutator_apply,
     commutator_expectation_matrix,
-    commutator_interior_max,
+    kronecker_commutators,
     momentum_operator,
     position_operator,
 )
@@ -113,9 +115,13 @@ def _old_apply(op, values, grid, representation):
 
 
 def _block(grid, rows, seed):
-    """A frozen block of seeded boundary-clean states; a single state in 3D."""
+    """A frozen block of seeded boundary-clean states; in 3D a single state,
+    or `rows` Gaussians of different widths."""
     if grid.dim == 3:
-        return _frozen(gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8)).values)
+        widths = [(1.0, 1.25, 0.8), (0.9, 1.1, 1.2)]
+        if rows:
+            return _frozen([gaussian_3d(grid, sigmas=s).values for s in widths[:rows]])
+        return _frozen(gaussian_3d(grid, sigmas=widths[0]).values)
     return _frozen(random_band_limited(grid, np.random.default_rng(seed), n_states=rows))
 
 
@@ -190,6 +196,9 @@ def test_a_3d_block_row_keeps_its_lone_state_bits():
 
 @pytest.mark.parametrize("dim,n_points,rows", CASES)
 def test_boundary_mass_leaves_its_state_and_matches_the_old_expression(dim, n_points, rows):
+    """A 1D state is one slab, so its value keeps the old bits; a 3D state's
+    slab sums add in another order, within the pairwise-sum bound of the
+    exact ratio of the same nonnegative terms."""
     grid = make_uniform_grid(dim, n_points, 8.0)
     # a state with mass at the boundary, so that both sums are nonzero
     psi = gaussian_3d(grid, sigmas=(3.0, 2.5, 2.0)) if dim == 3 else \
@@ -200,9 +209,14 @@ def test_boundary_mass_leaves_its_state_and_matches_the_old_expression(dim, n_po
         edge = np.zeros(n_points, dtype=bool)
         edge[:4] = edge[-4:] = True
         full |= edge.reshape([n_points if a == axis else 1 for a in range(dim)])
-    old = float(np.sum(np.abs(psi.values[full]) ** 2)) / float(np.sum(np.abs(psi.values) ** 2))
+    mass = np.abs(psi.values) ** 2
     got = boundary_mass(psi)
-    assert got > 0.0 and _same_bits(got, old)
+    assert got > 0.0
+    if dim == 1:
+        assert _same_bits(got, float(np.sum(mass[full])) / float(np.sum(mass)))
+    else:
+        exact = math.fsum(mass[full]) / math.fsum(mass.ravel())
+        assert abs(got - exact) <= 3.0 * gamma(64) * exact
     assert _same_bits(psi.values, kept)
 
 
@@ -297,77 +311,125 @@ def _old_interior_max(a, b, psi):
     return float(np.max(np.abs(cross.values)[interior])) / peak
 
 
-# (X axis, P axis): the slab axis is X's, is whole for X, or is the other one
-CROSS_AXES = [(0, 1), (1, 0), (2, 2), (0, 0)]
+def _old_kronecker(psi, backend):
+    grid = psi.grid
+    return _old_matrix(psi, backend), _old_interior_max(
+        position_operator(grid, 0), momentum_operator(grid, 1, backend), psi)
 
 
 @pytest.mark.parametrize("n_points", [32, 64])
 @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
 @pytest.mark.parametrize("backend", ["spectral", "finite_difference"])
-def test_streamed_3d_kernels_match_the_full_array_loops_bit_for_bit(n_points, hbar, backend):
+def test_the_fused_3d_kernel_matches_the_full_array_loops_bit_for_bit(n_points, hbar, backend):
     grid = make_uniform_grid(3, n_points, 8.0, hbar=hbar)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
     kept = np.array(psi.values)
-    assert _same_bits(commutator_expectation_matrix(psi, backend=backend), _old_matrix(psi, backend))
-    for x_axis, p_axis in CROSS_AXES:
-        x_op, p_op = position_operator(grid, x_axis), momentum_operator(grid, p_axis, backend)
-        assert _same_bits(commutator_interior_max(x_op, p_op, psi),
-                          _old_interior_max(x_op, p_op, psi)), (x_axis, p_axis)
+    matrix, cross = kronecker_commutators(psi, backend=backend)
+    old_matrix, old_cross = _old_kronecker(psi, backend)
+    assert _same_bits(matrix, old_matrix) and _same_bits(cross, old_cross)
+    assert _same_bits(commutator_expectation_matrix(psi, backend=backend), old_matrix)
     assert _same_bits(psi.values, kept)
 
 
 @pytest.mark.parametrize("block_samples", [2**12, 2**15, 2**16, 2**18])
-def test_streamed_3d_kernels_keep_their_bits_at_any_slab_width(monkeypatch, block_samples):
+def test_the_fused_3d_kernel_keeps_its_bits_at_any_slab_width(monkeypatch, block_samples):
     """Slabs of 1, 8, 16 and all 64 rows of 64 x 64 at 64^3; the shipped 4
     are the case above."""
     monkeypatch.setattr(grids, "BLOCK_SAMPLES", block_samples)
     grid = make_uniform_grid(3, 64, 8.0, hbar=0.7)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
     for backend in ("spectral", "finite_difference"):
-        assert _same_bits(commutator_expectation_matrix(psi, backend=backend),
-                          _old_matrix(psi, backend)), backend
-    x_op, p_op = position_operator(grid, 0), momentum_operator(grid, 1)
-    assert _same_bits(commutator_interior_max(x_op, p_op, psi), _old_interior_max(x_op, p_op, psi))
+        matrix, cross = kronecker_commutators(psi, backend=backend)
+        old_matrix, old_cross = _old_kronecker(psi, backend)
+        assert _same_bits(matrix, old_matrix) and _same_bits(cross, old_cross), backend
 
 
-def test_commutator_interior_max_keeps_a_nan_of_any_slab(monkeypatch):
+def test_the_fused_3d_kernel_keeps_a_nan_of_any_slab(monkeypatch):
+    """A NaN x_0 in the first slab of the n = 1 pass spoils that slab's cross
+    commutator; later slabs cannot hide it."""
     grid = make_uniform_grid(3, 32, 8.0)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
-    x_op, p_op = position_operator(grid, 0), momentum_operator(grid, 1)
-    original, calls = operators._apply_slab, []
+    original, calls = operators._complex_coordinate, []
 
-    def spoiled(op, values, *args, **kwargs):
-        calls.append(op)
-        out = original(op, values, *args, **kwargs)
+    def spoiled(grid, axis):
+        out = original(grid, axis)
+        if axis != 0:
+            return out
+        calls.append(axis)
         return out * math.nan if len(calls) == 3 else out
 
-    monkeypatch.setattr(operators, "_apply_slab", spoiled)
-    assert math.isnan(commutator_interior_max(x_op, p_op, psi))
-    assert len(calls) > 4  # the NaN slab is not the last
+    monkeypatch.setattr(operators, "_complex_coordinate", spoiled)
+    assert math.isnan(kronecker_commutators(psi)[1])
+    # each pass takes 2 slabs at 32^3: X_0's third is the first of n = 1's
+    assert len(calls) == 6
 
 
-def test_commutator_interior_max_rejects_a_zero_state():
+def test_the_fused_3d_kernel_rejects_a_zero_state():
     grid = make_uniform_grid(3, 16, 8.0)
     zero = WaveFunction(grid=grid, representation="position", values=np.zeros(grid.shape))
     with pytest.raises(DegenerateStateError):
-        commutator_interior_max(position_operator(grid, 0), momentum_operator(grid, 1), zero)
+        kronecker_commutators(zero)
+    assert _same_bits(commutator_expectation_matrix(zero), np.zeros((3, 3), dtype=np.complex128))
 
 
-@pytest.mark.parametrize("dim,n_points,rows", CASES)
+@pytest.mark.parametrize("dim,n_points,rows", CASES + [(3, 16, 2)])
 def test_in_place_inverse_transforms_match_the_out_of_place_expressions(dim, n_points, rows):
     """The spectral derivative runs its inverse FFT, and transform_block its
-    FFT in either direction, in place in the array it allocated; the
-    references run every FFT out of place."""
+    FFT in either direction, in place in the array it allocated, and the
+    derivative in an array it may overwrite; the references run every FFT
+    out of place. The derivative keeps its bits on each slab that the 3D
+    kernels hand over too."""
     grid = make_uniform_grid(dim, n_points, 8.0, hbar=0.7)
     values = _block(grid, rows, 7)
     kept = np.array(values)
     for axis in range(dim):
-        assert _same_bits(_spectral_derivative(values, grid, axis),
-                          _old_derivative(values, grid, axis, "momentum_spectral")), axis
+        old = _old_derivative(values, grid, axis, "momentum_spectral")
+        assert _same_bits(_spectral_derivative(values, grid, axis), old), axis
+        owned = np.array(values)
+        assert _spectral_derivative(owned, grid, axis, out=owned) is owned
+        assert _same_bits(owned, old), axis
+        for index in grids.slabs(grid, axis):
+            index = (Ellipsis,) + index
+            assert _same_bits(_spectral_derivative(values[index], grid, axis), old[index])
     for representation in ("position", "momentum"):
         assert _same_bits(transform_block(values, grid, representation),
                           _old_transform(values, grid, representation)), representation
     assert _same_bits(values, kept)
+
+
+def test_the_cached_factors_are_read_only_and_bounded():
+    for n_points in (8, 16, 32, 64, 128, 256):
+        for half_extent in (1.0, 8.0, 20.0):
+            grid = make_uniform_grid(3, n_points, half_extent)
+            for axis in range(3):
+                iw = _derivative_multiplier(n_points, grid.spacing, 3, axis)
+                x = _complex_coordinate(grid, axis)
+                assert not iw.flags.writeable and not x.flags.writeable
+                assert iw.shape == x.shape == grid.coordinate(axis).shape
+                assert _same_bits(x, grid.coordinate(axis).astype(np.complex128))
+    for cached in (_derivative_multiplier, _complex_coordinate):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 64
+
+
+def _old_gaussian_3d(grid, sigmas):
+    v = np.ones(grid.shape, dtype=np.complex128)
+    for axis, s in enumerate(sigmas):
+        v *= np.exp(-(grid.coordinate(axis) ** 2) / (2.0 * s**2))
+    return v
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.37, 3.0])
+@pytest.mark.parametrize("sigmas", [(1.0, 1.25, 0.8), (0.3, 0.2, 0.25), (0.08, 1.0, 0.1)])
+def test_gaussian_3d_matches_the_complex_products(hbar, sigmas):
+    """Narrow widths on a 64^3 grid of half extent 8 take the tails through
+    subnormal values to zero, where a product's rounding and signs show."""
+    grid = make_uniform_grid(3, 64, 8.0, hbar=hbar)
+    old = _old_gaussian_3d(grid, sigmas)
+    if min(sigmas) < 0.5:
+        assert np.any(old == 0.0)
+    old /= norm_block(old, grid)
+    assert _same_bits(gaussian_3d(grid, sigmas=sigmas).values, old)
 
 
 @pytest.mark.parametrize("dim,n_points", [(1, 256), (3, 16)])
@@ -407,27 +469,20 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_commutator_matrix_keeps_less_than_one_state_besides_psi():
-    """The matrix streams psi through slabs of 1/16 of a state at 64^3, so
-    besides the caller's state it holds a few slabs, the row dots, and
-    boundary_mass's |psi|^2 and mask (0.73 states with either backend). The
-    full-array loop kept P_n psi and one buffer (2.03 states), and the
-    finite-difference P_n its fresh difference array too (3.10)."""
+def test_the_fused_3d_kernel_keeps_less_than_a_third_of_a_state_besides_psi():
+    """The kernel and boundary_mass stream psi through slabs of 1/16 of a
+    state at 64^3, so besides the caller's state the spectral pass holds two
+    slabs, the row dots and the FFT's line buffers (0.28 states). The
+    full-array loop kept P_n psi and one buffer (2.03 states), and a
+    full-array boundary_mass 0.73. The finite-difference backend holds one
+    slab more, its fresh difference array, and numpy's iterator buffers for
+    the strided slice differences (0.38)."""
     grid = make_uniform_grid(3, 64, 8.0)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
     state = psi.values.nbytes
-    for backend in ("spectral", "finite_difference"):
-        assert _traced_peak(lambda: commutator_expectation_matrix(psi, backend=backend)) \
-            < 1.0 * state, backend
-
-
-def test_commutator_interior_max_keeps_less_than_one_state_besides_psi():
-    """Slab by slab, with no full-size commutator, |.| or mask: commutator_apply
-    and the mask expression it replaced held 2.03 states."""
-    grid = make_uniform_grid(3, 64, 8.0)
-    psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
-    x_op, p_op = position_operator(grid, 0), momentum_operator(grid, 1)
-    assert _traced_peak(lambda: commutator_interior_max(x_op, p_op, psi)) < 1.0 * psi.values.nbytes
+    assert _traced_peak(lambda: kronecker_commutators(psi)) < 0.3 * state
+    assert _traced_peak(lambda: kronecker_commutators(psi, backend="finite_difference")) \
+        < 0.5 * state
 
 
 def test_gaussian_3d_keeps_its_array_without_a_copy():
@@ -448,17 +503,15 @@ def test_commutator_apply_keeps_two_states_besides_psi():
 
 
 def test_commutator_apply_on_a_long_1d_state_keeps_half_a_state_of_temporaries():
-    """Besides AB psi and one inner result, each step holds one real array
-    built in place (X's coordinates, or P's frequencies) and numpy's fixed
-    cast buffer for a real-times-complex product: 2.63 states on a 1D
-    65536-point state. A complex frequency multiplier and its real factor
-    made it 3.63."""
+    """Besides AB psi and one inner result, nothing the size of psi: X's
+    coordinates and P's multiplier i w are cached complex arrays, so no
+    product goes through numpy's cast buffer (2.00 states on a 1D
+    65536-point state; building them per call read 2.63)."""
     grid = make_uniform_grid(1, 65536, 64.0)
     psi = gaussian(grid, sigma=1.0)
     x_op, p_op = position_operator(grid), momentum_operator(grid)
     peak = _traced_peak(lambda: commutator_apply(x_op, p_op, psi))
-    cast_buffer = np.getbufsize() * psi.values.itemsize
-    assert peak < 2.5 * psi.values.nbytes + cast_buffer + 4096
+    assert peak < 2.05 * psi.values.nbytes
 
 
 def test_vector_uncertainty_check_keeps_one_state_besides_psi():
