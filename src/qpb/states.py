@@ -91,13 +91,16 @@ def conjugate_gaussian_pair(grid_p: UniformGrid, sigma: float = 1.0, center: flo
         raise ConfigurationError("conjugate_gaussian_pair builds 1D states")
     hbar = grid_p.hbar
     p = grid_p.axis_points()
-    psi = (sigma**2 / (math.pi * hbar**2)) ** 0.25 \
-        * np.exp(-(sigma**2) * (p - momentum) ** 2 / (2.0 * hbar**2)) \
-        * np.exp(-1j * p * center / hbar)
     grid_r = reciprocal_grid(grid_p)
     r = grid_r.axis_points()
-    Psi = (math.pi * sigma**2) ** -0.25 \
-        * np.exp(-((r - center) ** 2) / (2.0 * sigma**2)) \
+    # far in the tails an exponent may overflow to -inf, and exp(-inf) is the
+    # exact 0 the Gaussian has there
+    with np.errstate(over="ignore"):
+        exponent_p = -(sigma**2) * (p - momentum) ** 2 / (2.0 * hbar**2)
+        exponent_r = -((r - center) ** 2) / (2.0 * sigma**2)
+    psi = (sigma**2 / (math.pi * hbar**2)) ** 0.25 * np.exp(exponent_p) \
+        * np.exp(-1j * p * center / hbar)
+    Psi = (math.pi * sigma**2) ** -0.25 * np.exp(exponent_r) \
         * np.exp(1j * momentum * (r - center) / hbar)
     return (
         WaveFunction(grid=grid_p, representation="momentum", values=psi),
