@@ -22,7 +22,7 @@ from .errors import (
     ResourceBoundError,
     ToolkitError,
 )
-from .grids import UniformGrid, WaveFunction, inner_product, make_uniform_grid, normalize
+from .grids import UniformGrid, WaveFunction, make_uniform_grid, normalize
 from .kk import (
     AnalyticSignal,
     hilbert_spectral,
@@ -34,12 +34,11 @@ from .kk import (
     pv_quadrature_all,
 )
 from .ladder import LadderSystem, build as build_ladder
-from .moments import Moments, moments, saturation_check, uncertainty_check, vector_uncertainty_check
+from .moments import Moments, moments, saturation_check, vector_uncertainty_check
 from .operators import (
     GridOperator,
     apply,
     commutator_apply,
-    commutator_expectation_matrix,
     corollary_residual_momentum,
     momentum_operator,
     poisson_residual,
@@ -54,7 +53,7 @@ from .states import (
     random_band_limited,
 )
 from .suites import KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, run_suite
-from .transforms import check_parseval, reciprocal_grid, to_momentum, to_position, transform
+from .transforms import reciprocal_grid, to_momentum, to_position
 
 __version__ = "0.1.0"
 
@@ -82,16 +81,13 @@ __all__ = [
     "WaveFunction",
     "apply",
     "build_ladder",
-    "check_parseval",
     "commutator_apply",
-    "commutator_expectation_matrix",
     "conjugate_gaussian_pair",
     "corollary_residual_momentum",
     "emit_report",
     "gaussian",
     "gaussian_3d",
     "hilbert_spectral",
-    "inner_product",
     "kk_residual",
     "make_report",
     "make_uniform_grid",
@@ -113,8 +109,6 @@ __all__ = [
     "saturation_check",
     "to_momentum",
     "to_position",
-    "transform",
-    "uncertainty_check",
     "vector_uncertainty_check",
     "__version__",
 ]

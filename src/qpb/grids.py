@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateStateError,
-    IncompatibleOperandsError,
-)
+from .errors import ConfigurationError, DegenerateStateError
 
 REPRESENTATIONS = ("position", "momentum")
 
@@ -158,15 +154,6 @@ class WaveFunction:
         return self._norm
 
 
-def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
-    if a.representation != b.representation:
-        raise IncompatibleOperandsError(
-            f"representation mismatch: {a.representation!r} vs {b.representation!r}"
-        )
-    if not a.grid.compatible(b.grid):
-        raise IncompatibleOperandsError("wavefunctions live on incompatible grids")
-
-
 # Samples per dot product. OpenBLAS splits a dot of more than 10000 samples
 # over its threads, so a longer row's bits would depend on the thread count.
 ROW_SAMPLES = 4096
@@ -175,6 +162,10 @@ ROW_SAMPLES = 4096
 # 256 points and 16 at 1024, a 3D state in `slabs` of 4 rows of 64 x 64 at
 # 64^3, and weyl's oracle in blocks of draws with as many band entries.
 BLOCK_SAMPLES = 2**14
+# Samples at each end of an axis that `boundary_mass` counts; the band that
+# `boundary_band_fraction` counts on each side of a row is 1/BAND_DIVISOR of it
+BOUNDARY_CELLS = 4
+BAND_DIVISOR = 8
 
 
 def slabs(grid: UniformGrid, *whole_axes: int):
@@ -211,10 +202,12 @@ def sum_row_dots(rows: np.ndarray, grid: UniformGrid):
 
 
 def inner_product_block(a_values: np.ndarray, b_values: np.ndarray, grid: UniformGrid):
-    """Riemann inner products <a|b> of the states in two blocks of the same
-    shape on `grid`: `row_dots`, then `sum_row_dots`. Each state's rows are
-    reduced alone and in the same order, so a block row gets the bits of the
-    state on its own.
+    """Riemann inner products <a|b> = sum conj(a_j) b_j spacing^dim of the
+    states in two blocks of the same shape on `grid`: `row_dots`, then
+    `sum_row_dots`. On these periodic grids the Riemann sum is the trapezoid
+    rule, spectrally accurate for smooth decaying states. Each state's rows
+    are reduced alone and in the same order, so a block row gets the bits of
+    the state on its own.
     """
     return sum_row_dots(row_dots(a_values, b_values, grid), grid)
 
@@ -234,28 +227,18 @@ def normalize_block(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
     return values
 
 
-def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
-    """Riemann inner product <a|b> = sum conj(a_j) b_j * spacing^dim.
-
-    On these periodic grids the Riemann sum coincides with the trapezoid rule,
-    so it is spectrally accurate for smooth decaying states.
-    """
-    _require_same_grid(a, b)
-    return complex(inner_product_block(a.values, b.values, a.grid))
-
-
 def normalize(psi: WaveFunction) -> WaveFunction:
     """Scale psi to unit norm. Raises DegenerateStateError on a zero state."""
     return psi.with_values(normalize_block(np.array(psi.values), psi.grid))
 
 
-def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
-    """Fraction of |psi|^2 within `cells` samples of the boundary along any
-    axis, read slab by slab (`slabs`): a 1D state is one slab, so its two
+def boundary_mass(psi: WaveFunction) -> float:
+    """Fraction of |psi|^2 within BOUNDARY_CELLS samples of the boundary along
+    any axis, read slab by slab (`slabs`): a 1D state is one slab, so its two
     sums are numpy's sums over the whole state."""
     g = psi.grid
     edge = np.zeros(g.n_points, dtype=bool)
-    edge[:cells] = edge[g.n_points - cells:] = True
+    edge[:BOUNDARY_CELLS] = edge[g.n_points - BOUNDARY_CELLS:] = True
     near = functools.reduce(np.logical_or, (
         edge.reshape([-1 if a == axis else 1 for a in range(g.dim)]) for axis in range(g.dim)))
     totals, edges = [], []
@@ -270,13 +253,13 @@ def boundary_mass(psi: WaveFunction, cells: int = 4) -> float:
     return float(np.sum(edges)) / total
 
 
-def boundary_band_fraction(values: np.ndarray, band_divisor: int = 8):
-    """Fraction of l2 mass in the outer 1/band_divisor of each side of every
+def boundary_band_fraction(values: np.ndarray):
+    """Fraction of l2 mass in the outer 1/BAND_DIVISOR of each side of every
     1D sample row (the last axis); 0 for an all-zero row."""
     mass = np.abs(np.asarray(values))
     np.square(mass, out=mass)
     total = np.sum(mass, axis=-1)
-    band = max(1, mass.shape[-1] // band_divisor)
+    band = max(1, mass.shape[-1] // BAND_DIVISOR)
     outer = np.sum(mass[..., :band], axis=-1) + np.sum(mass[..., -band:], axis=-1)
     # a zero total has a zero outer part, so dividing it by 1 gives 0
     return outer / np.where(total == 0.0, 1.0, total)

@@ -30,7 +30,7 @@ from .errors import (
     ConfigurationError,
     PhaseUndefinedError,
 )
-from .grids import UniformGrid
+from .grids import BOUNDARY_CELLS, UniformGrid
 from .report import CheckReport, make_report, worst
 
 # Relative boundary amplitude above which the circular transform is meaningless.
@@ -39,13 +39,17 @@ from .report import CheckReport, make_report, worst
 # is still measured and reported.
 BOUNDARY_AMPLITUDE_LIMIT = 0.1
 STRICT_DECAY_LEVEL = 1e-10
+# phase_equivalence compares phases where mag is at least this share of its peak
+PHASE_WINDOW_THRESHOLD = 1e-3
 
 
-def _relative_boundary_amplitude(values: np.ndarray, cells: int = 4) -> float:
+def _relative_boundary_amplitude(values: np.ndarray) -> float:
+    """Largest |value| within BOUNDARY_CELLS samples of either end, over max |value|."""
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         return 0.0
-    edge = max(float(np.max(np.abs(values[:cells]))), float(np.max(np.abs(values[-cells:]))))
+    edge = max(float(np.max(np.abs(values[:BOUNDARY_CELLS]))),
+               float(np.max(np.abs(values[-BOUNDARY_CELLS:]))))
     return edge / peak
 
 
@@ -151,11 +155,8 @@ def pv_quadrature_all(samples: np.ndarray, grid: UniformGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnalyticSignal:
-    """Complex samples declared analytic in one half-plane.
-
-    Use `checked` to reject signals whose samples are all zero or fail the
-    declared dispersion pair by more than the rejection tolerance.
-    """
+    """Complex samples declared analytic in one half-plane; `kk_residual`
+    measures how far they are from the declared dispersion pair."""
 
     grid: UniformGrid
     values: np.ndarray = field(repr=False)
@@ -173,30 +174,16 @@ class AnalyticSignal:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def checked(cls, grid: UniformGrid, values: np.ndarray, analyticity_half_plane: str,
-                rejection_tolerance: float = 1e-2) -> "AnalyticSignal":
-        sig = cls(grid=grid, values=values, analyticity_half_plane=analyticity_half_plane)
-        rep = kk_residual(sig)
-        if not rep.valid:
-            raise ConfigurationError("an identically zero signal has no dispersion pair to check")
-        if not rep.residual <= rejection_tolerance:
-            raise ConfigurationError(
-                f"signal fails its declared {analyticity_half_plane}-half-plane dispersion pair: "
-                f"residual {rep.residual:.3e} > {rejection_tolerance:g}"
-            )
-        return sig
 
-
-def kk_residual(f: AnalyticSignal, dc_adjust: bool = True) -> CheckReport:
+def kk_residual(f: AnalyticSignal) -> CheckReport:
     """Residual of the dispersion pair for the declared half-plane.
 
     Reports the max over interior points (middle half of the grid) of
     |im - H_pm[re]| and |re - H_pm^(-1)[im]| with the signs fixed by the
     declared half-plane. The circular transform fixes conjugates only up to
-    an additive constant, so by default each residual is compared after
-    removing its interior mean; the removed offsets are recorded. An all-zero
-    input is an invalid scenario: residual 0, flagged `degenerate_input`, FAIL.
+    an additive constant, so each residual is compared after removing its
+    interior mean; the removed offsets are recorded. An all-zero input is an
+    invalid scenario: residual 0, flagged `degenerate_input`, FAIL.
     """
     v = f.values
     peak = float(np.max(np.abs(v)))
@@ -212,8 +199,8 @@ def kk_residual(f: AnalyticSignal, dc_adjust: bool = True) -> CheckReport:
     r_im = im - sign * h_re
     r_re = re + sign * h_im
     interior = slice(n // 4, 3 * n // 4)
-    off_im = float(np.mean(r_im[interior])) if dc_adjust else 0.0
-    off_re = float(np.mean(r_re[interior])) if dc_adjust else 0.0
+    off_im = float(np.mean(r_im[interior]))
+    off_re = float(np.mean(r_re[interior]))
     residual = worst([
         float(np.max(np.abs(r_im[interior] - off_im))),
         float(np.max(np.abs(r_re[interior] - off_re))),
@@ -222,7 +209,7 @@ def kk_residual(f: AnalyticSignal, dc_adjust: bool = True) -> CheckReport:
         "kk_residual", residual,
         context={
             "half_plane": f.analyticity_half_plane,
-            "dc_adjusted": dc_adjust,
+            "dc_adjusted": True,
             "dc_offset_im_line": off_im,
             "dc_offset_re_line": off_re,
             "relative_boundary_amplitude": rel_edge,
@@ -271,10 +258,9 @@ def periodized_pole(grid: UniformGrid, a: float, half_plane: str = "lower") -> n
     return (math.pi / period) / np.tan(math.pi * (u - pole) / period)
 
 
-def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,
-                      window_threshold: float = 1e-3) -> CheckReport:
+def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray) -> CheckReport:
     """Distance of (phase_a - phase_b) to the nearest multiple of 2 pi, on the
-    window where mag >= window_threshold * max(mag).
+    window where mag >= PHASE_WINDOW_THRESHOLD * max(mag).
 
     Two sampled representations describe the same physical state when this
     residual vanishes. If the pointwise difference itself jumps by more than
@@ -290,7 +276,7 @@ def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,
     peak = float(np.max(mag)) if mag.size else 0.0
     if peak <= 0.0:
         raise PhaseUndefinedError("phase comparison on an identically zero magnitude")
-    window = mag >= window_threshold * peak
+    window = mag >= PHASE_WINDOW_THRESHOLD * peak
     if not np.all(mag[window] > 0.0):
         raise PhaseUndefinedError("zero magnitude inside the comparison window")
     d = a[window] - b[window]
@@ -305,7 +291,7 @@ def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray,
         "phase_equivalence", residual, valid=not under_resolved,
         context={
             "window_points": int(np.sum(window)),
-            "window_threshold": window_threshold,
+            "window_threshold": PHASE_WINDOW_THRESHOLD,
             "max_adjacent_jump": max_jump,
             "insufficient_resolution": under_resolved,
         },

@@ -30,6 +30,11 @@ from .errors import ConfigurationError, ProtectedRangeError
 from .report import CheckReport, make_report, worst
 from .symbolic import band_adjoint, band_product, letter_matrices, protected_defect
 
+# eigenstate_overlap_check reads number states 0..M_MAX in both bases
+M_MAX = 4
+# the frequencies scaling_exact_check compares with omega = 1
+SCALING_OMEGAS = (0.5, 2.0, 3.0)
+
 
 @dataclass(frozen=True)
 class LadderSystem:
@@ -127,36 +132,35 @@ def _protected_block(band: np.ndarray) -> np.ndarray:
     return block
 
 
-def eigenstate_overlap_check(system: LadderSystem, m_max: int = 4) -> CheckReport:
+def eigenstate_overlap_check(system: LadderSystem) -> CheckReport:
     """Unitarity of the energy-time basis change on the protected block, and
-    unit norm of the first few number states in both representations: number
+    unit norm of number states 0..M_MAX in both representations: number
     state m has components u[m, j] on the j-th eigenvector of the block."""
     n = system.n_trunc
-    if m_max > n - 2:
-        raise ProtectedRangeError(f"m_max {m_max} outside the protected block")
+    if M_MAX > n - 2:
+        raise ProtectedRangeError(f"m_max {M_MAX} outside the protected block")
     u_t = np.linalg.eigh(_protected_block(system.time))[1]
     u_h = np.linalg.eigh(_protected_block(system.energy))[1]
     overlap = u_h.conj().T @ u_t
     resid = float(np.max(np.abs(overlap.conj().T @ overlap - np.eye(n - 1))))
     norm_defects = [abs(float(np.sum(np.abs(u[m]) ** 2)) - 1.0)
-                    for m in range(m_max + 1) for u in (u_t, u_h)]
+                    for m in range(M_MAX + 1) for u in (u_t, u_h)]
     return make_report("ladder_eigenstate_overlap", worst([resid] + norm_defects), context={
         "n_trunc": n,
-        "m_max": m_max,
+        "m_max": M_MAX,
     })
 
 
-def scaling_exact_check(n_trunc: int = 64, hbar: float = 1.0,
-                        omegas: tuple[float, ...] = (0.5, 2.0, 3.0)) -> CheckReport:
+def scaling_exact_check(n_trunc: int = 64, hbar: float = 1.0) -> CheckReport:
     """Frequency covariance and Hermiticity as exact float identities.
 
     Passes only when H(omega) equals omega * H(1) and T(omega) equals
-    (1/omega) * T(1) entry for entry, and both are equal to their conjugate
-    transposes; any defect reports residual 1.
+    (1/omega) * T(1) entry for entry at each of SCALING_OMEGAS, and both are
+    equal to their conjugate transposes; any defect reports residual 1.
     """
     base = build(n_trunc, 1.0, hbar)
     ok = True
-    for omega in omegas:
+    for omega in SCALING_OMEGAS:
         sys_w = build(n_trunc, omega, hbar)
         ok = ok and np.array_equal(sys_w.energy, omega * base.energy)
         ok = ok and np.array_equal(sys_w.time, (1.0 / omega) * base.time)
@@ -165,5 +169,5 @@ def scaling_exact_check(n_trunc: int = 64, hbar: float = 1.0,
     return make_report("ladder_scaling_exact", 0.0 if ok else 1.0, context={
         "n_trunc": n_trunc,
         "hbar": hbar,
-        "omegas": list(omegas),
+        "omegas": list(SCALING_OMEGAS),
     })

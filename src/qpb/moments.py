@@ -6,8 +6,8 @@ operators built here and keeps variances nonnegative by construction.
 `pair_moments_block` is the kernel for a pair of operators: it takes a block
 of states on the trailing grid axes of an array and returns one value per
 state, raising PreconditionError if any state is not normalized or has a
-non-real expectation. `uncertainty_check` and `saturation_check` call it
-with a single state, as `moments` calls the same code for one operator.
+non-real expectation. `saturation_check` calls it with a single state, as
+`moments` calls the same code for one operator.
 """
 
 from __future__ import annotations
@@ -100,31 +100,17 @@ def pair_moments_block(values: np.ndarray, grid: UniformGrid, op_a: GridOperator
     }
 
 
-def uncertainty_check(psi: WaveFunction, op_a: GridOperator, op_b: GridOperator,
-                      check_id: str = "uncertainty_random_bound",
-                      tolerance: float | None = None) -> CheckReport:
-    """One-sided check of spread_a * spread_b >= |<[A, B]>| / 2.
-
-    The residual is the bound violation clamped at zero, so any positive
-    residual is a genuine failure and saturating states report zero.
-    """
-    data = pair_moments_block(psi.values, psi.grid, op_a, op_b, psi.representation)
-    residual = worst([0.0, data["half_commutator_magnitude"] - data["product"]])
-    return make_report(check_id, residual, tolerance, context=data)
-
-
 def saturation_check(psi: WaveFunction, op_a: GridOperator, op_b: GridOperator,
-                     target_product: float, check_id: str = "uncertainty_gaussian_saturation",
-                     tolerance: float | None = None) -> CheckReport:
+                     target_product: float,
+                     check_id: str = "uncertainty_gaussian_saturation") -> CheckReport:
     """Two-sided check that the spread product equals a known closed form."""
     data = pair_moments_block(psi.values, psi.grid, op_a, op_b, psi.representation)
     data["target_product"] = target_product
     residual = abs(data["product"] - target_product)
-    return make_report(check_id, residual, tolerance, context=data)
+    return make_report(check_id, residual, context=data)
 
 
-def vector_uncertainty_check(psi: WaveFunction, mode: str = "bound",
-                             tolerance: float | None = None) -> CheckReport:
+def vector_uncertainty_check(psi: WaveFunction, mode: str = "bound") -> CheckReport:
     """Componentwise spread products of a 3D state against dim * hbar / 2.
 
     mode="bound" clamps the violation of sum_m spread(X_m) spread(P_m) >=
@@ -144,7 +130,7 @@ def vector_uncertainty_check(psi: WaveFunction, mode: str = "bound",
     total = float(np.sum(products))
     target = 3.0 * psi.grid.hbar / 2.0
     residual = worst([0.0, target - total]) if mode == "bound" else abs(total - target)
-    return make_report(f"uncertainty_vector_{mode}", residual, tolerance, context={
+    return make_report(f"uncertainty_vector_{mode}", residual, context={
         "axis_products": products,
         "sum_of_products": total,
         "target": target,

@@ -59,6 +59,8 @@ OPERATOR_KINDS = ("position_multiply", "momentum_spectral", "momentum_finite_dif
 # Error threshold for the measured surface terms; the identity provably fails
 # on periodic truncation when the state touches the boundary.
 BOUNDARY_MASS_LIMIT = 1e-6
+# The pointwise identities are read where |psi| > this share of max |psi|
+INTERIOR_MASK_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -180,19 +182,19 @@ def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> Wav
     return psi._with_fresh(ab)
 
 
-def _identity_residual(psi: WaveFunction, bm: float, threshold: float,
+def _identity_residual(psi: WaveFunction, bm: float,
                        backend: str = "spectral") -> tuple[float, dict]:
-    """max |[X, P] psi - i hbar psi| / max |psi| over the samples where
-    |psi| > threshold max |psi|, and its context; bm is psi's boundary mass."""
+    """max |[X, P] psi - i hbar psi| / max |psi| where |psi| exceeds
+    INTERIOR_MASK_THRESHOLD max |psi|, and its context; bm is psi's boundary mass."""
     g = psi.grid
     comm = commutator_apply(position_operator(g), momentum_operator(g, backend=backend), psi)
     peak = float(np.max(np.abs(psi.values)))
-    mask = np.abs(psi.values) > threshold * peak
+    mask = np.abs(psi.values) > INTERIOR_MASK_THRESHOLD * peak
     resid = np.abs(comm.values - 1j * g.hbar * psi.values)
     return float(np.max(resid[mask])) / peak, {
         "boundary_mass": bm,
         "interior_points": int(np.sum(mask)),
-        "interior_mask_threshold": threshold,
+        "interior_mask_threshold": INTERIOR_MASK_THRESHOLD,
         "n_points": g.n_points,
         "half_extent": g.half_extent,
         "hbar": g.hbar,
@@ -209,8 +211,7 @@ def _require_boundary_clean(psi: WaveFunction) -> float:
     return bm
 
 
-def poisson_residual(psi: WaveFunction, interior_mask_threshold: float = 1e-6,
-                     backend: str = "spectral") -> CheckReport:
+def poisson_residual(psi: WaveFunction, backend: str = "spectral") -> CheckReport:
     """Pointwise residual of [X, P] psi = i hbar psi on a boundary-clean state.
 
     The spectral backend keeps the registered tolerance. The finite-difference
@@ -223,7 +224,7 @@ def poisson_residual(psi: WaveFunction, interior_mask_threshold: float = 1e-6,
     if psi.representation != "position":
         raise RepresentationError("poisson_residual checks position-representation states")
     g = psi.grid
-    residual, context = _identity_residual(psi, bm, interior_mask_threshold, backend)
+    residual, context = _identity_residual(psi, bm, backend)
     context = {"backend": backend, **context}
     tolerance = None
     if backend != "spectral":
@@ -235,7 +236,7 @@ def poisson_residual(psi: WaveFunction, interior_mask_threshold: float = 1e-6,
     return make_report("poisson_residual", residual, tolerance, context)
 
 
-def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float = 1e-6) -> CheckReport:
+def corollary_residual_momentum(g: WaveFunction) -> CheckReport:
     """Residual of [R, P] g = i hbar g in the momentum representation.
 
     R acts by conjugation through the transform pair and P by multiplication
@@ -247,19 +248,14 @@ def corollary_residual_momentum(g: WaveFunction, interior_mask_threshold: float 
     if float(np.max(np.abs(g.values))) == 0.0:
         return make_report("corollary_residual_momentum", 0.0, valid=False,
                            context={"degenerate_input": True, "n_points": g.grid.n_points})
-    residual, context = _identity_residual(g, _require_boundary_clean(g), interior_mask_threshold)
+    residual, context = _identity_residual(g, _require_boundary_clean(g))
     return make_report("corollary_residual_momentum", residual, context=context)
 
 
-def commutator_expectation_matrix(psi: WaveFunction, backend: str = "spectral") -> np.ndarray:
-    """3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state; the identity target
-    (see `kronecker_commutators`)."""
-    return _commutator_pass(psi, backend, "commutator_expectation_matrix", cross=False)[0]
-
-
-def kronecker_commutators(psi: WaveFunction, backend: str = "spectral") -> tuple[np.ndarray, float]:
+def kronecker_commutators(psi: WaveFunction) -> tuple[np.ndarray, float]:
     """The 3x3 matrix <[X_m, P_n]> / (i hbar) over a 3D state, and the maximum
-    of |(X_0 P_1 - P_1 X_0) psi| where |psi| > 1e-6 max |psi|, over max |psi|.
+    of |(X_0 P_1 - P_1 X_0) psi| where |psi| > INTERIOR_MASK_THRESHOLD
+    max |psi|, over max |psi|.
 
     One streamed pass: for each n the state is read in slabs (`grids.slabs`)
     whole along axis n and along rows. Per slab, P_n psi is formed once; for
@@ -272,15 +268,10 @@ def kronecker_commutators(psi: WaveFunction, backend: str = "spectral") -> tuple
     bits of `commutator_apply`. Besides psi it holds a few slabs and the row
     dots. Raises DegenerateStateError on a zero or non-finite state.
     """
-    return _commutator_pass(psi, backend, "kronecker_commutators", cross=True)
-
-
-def _commutator_pass(psi: WaveFunction, backend: str, name: str,
-                     cross: bool) -> tuple[np.ndarray, float | None]:
     if psi.grid.dim != 3:
-        raise ConfigurationError(f"{name} needs a 3D state")
+        raise ConfigurationError("kronecker_commutators needs a 3D state")
     if psi.representation != "position":
-        raise RepresentationError(f"{name} checks position-representation states")
+        raise RepresentationError("kronecker_commutators checks position-representation states")
     _require_boundary_clean(psi)
     g, v = psi.grid, psi.values
     out = np.zeros((3, 3), dtype=np.complex128)
@@ -288,15 +279,15 @@ def _commutator_pass(psi: WaveFunction, backend: str, name: str,
     rows = np.empty((3, 2) + g.shape[:-1] + (1,), dtype=np.complex128)
     peaks, maxima = [], []
     for n in range(3):
-        p_n = momentum_operator(g, n, backend=backend)
+        p_n = momentum_operator(g, n)
         floor = None
-        if cross and n == 1:
+        if n == 1:
             peak = worst(peaks)
             if not 0.0 < peak < math.inf:
-                raise DegenerateStateError(f"{name} needs a nonzero, finite state")
-            floor = 1e-6 * peak
+                raise DegenerateStateError("kronecker_commutators needs a nonzero, finite state")
+            floor = INTERIOR_MASK_THRESHOLD * peak
         for index in slabs(g, n):
-            if cross and n == 0:
+            if n == 0:
                 peaks.append(np.max(np.abs(v[index])))
             slab_max = _slab_pass(p_n, v[index], g, index, rows, floor)
             if floor is not None:
@@ -304,7 +295,7 @@ def _commutator_pass(psi: WaveFunction, backend: str, name: str,
         products = sum_row_dots(rows, g)
         for m in range(3):
             out[m, n] = complex(products[m, 0] - products[m, 1]) / (1j * g.hbar)
-    return out, worst(maxima) / peak if cross else None
+    return out, worst(maxima) / peak
 
 
 def _slab_pass(p_n: GridOperator, v_s: np.ndarray, grid: UniformGrid, index: tuple,

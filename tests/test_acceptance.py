@@ -15,10 +15,10 @@ from dense_letters import dense_of_band, dense_realize
 from qpb.grids import WaveFunction, make_uniform_grid
 from qpb.kk import AnalyticSignal, hilbert_spectral, kk_residual, phase_equivalence, \
     pole_family, pv_quadrature, pv_quadrature_all
-from qpb.moments import saturation_check, uncertainty_check, vector_uncertainty_check
+from qpb.moments import pair_moments_block, saturation_check, vector_uncertainty_check
 from qpb.operators import (
-    commutator_expectation_matrix,
     corollary_residual_momentum,
+    kronecker_commutators,
     momentum_operator,
     poisson_residual,
     position_operator,
@@ -35,7 +35,7 @@ from qpb.symbolic import (
     random_operator_poly,
     weyl_symmetrize,
 )
-from qpb.transforms import check_parseval, to_momentum, to_position
+from qpb.transforms import parseval_block, to_momentum, to_position
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -71,7 +71,7 @@ def test_criterion_03_tensor_kronecker():
     t0 = time.perf_counter()
     grid = make_uniform_grid(3, 64, 8.0, 1.0)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.0, 1.0))
-    defect = float(np.max(np.abs(commutator_expectation_matrix(psi) - np.eye(3))))
+    defect = float(np.max(np.abs(kronecker_commutators(psi)[0] - np.eye(3))))
     elapsed = time.perf_counter() - t0
     ok = defect <= 1e-6 and elapsed < 30.0
     _verdict(3, ok, f"3D <[X_m,P_n]>/(i hbar) vs Kronecker delta: {defect:.2e} <= 1e-6, "
@@ -87,7 +87,8 @@ def test_criterion_04_transform_unitarity():
         psi = random_band_limited(grid, rng)
         back = to_position(to_momentum(psi))
         round_trip = max(round_trip, float(np.max(np.abs(back.values - psi.values))))
-        parseval = max(parseval, check_parseval(psi).residual)
+        terms = parseval_block(psi.values, to_momentum(psi).values, grid)
+        parseval = max(parseval, float(terms["residual"]))
     ok = round_trip <= 1e-12 and parseval <= 1e-12
     _verdict(4, ok, f"100 random states: round trip {round_trip:.2e} <= 1e-12, "
                     f"parseval {parseval:.2e} <= 1e-12")
@@ -166,8 +167,8 @@ def test_criterion_08_uncertainty():
     rng = np.random.default_rng(0)
     bound = 0.0
     for _ in range(500):
-        bound = max(bound, uncertainty_check(
-            random_band_limited(grid, rng), x_op, p_op).residual)
+        data = pair_moments_block(random_band_limited(grid, rng).values, grid, x_op, p_op)
+        bound = max(bound, float(data["half_commutator_magnitude"] - data["product"]))
     grid3 = make_uniform_grid(3, 64, 8.0)
     vec = vector_uncertainty_check(gaussian_3d(grid3, sigmas=(1.0, 1.0, 1.0)),
                                    mode="saturation").residual

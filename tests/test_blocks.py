@@ -18,16 +18,16 @@ import pytest
 
 from exact_sums import U, exact_inner, exact_norm, inner_bound
 from qpb.grids import inner_product_block, make_uniform_grid
-from qpb.moments import moments, pair_moments_block, uncertainty_check
+from qpb.moments import moments, pair_moments_block
 from qpb.operators import (
     apply_block,
-    commutator_expectation_matrix,
+    kronecker_commutators,
     momentum_operator,
     position_operator,
 )
 from qpb.states import gaussian_3d, random_band_limited
 from qpb.suites import BLOCK_SAMPLES, N_BOUND_STATES, N_TRANSFORM_STATES, _block_sizes
-from qpb.transforms import check_parseval, parseval_block, reciprocal_grid, to_momentum, transform_block
+from qpb.transforms import parseval_block, reciprocal_grid, to_momentum, transform_block
 
 
 def _old_state(grid, rng, n_modes=6, divisor=8.0):
@@ -204,7 +204,7 @@ def test_commutator_matrix_matches_nine_commutator_applications(n_points, sigmas
     grid = make_uniform_grid(3, n_points, 8.0)
     psi = gaussian_3d(grid, sigmas=sigmas)
     v = psi.values
-    got = commutator_expectation_matrix(psi)
+    got = kronecker_commutators(psi)[0]
     h = grid.spacing**3
     for m in range(3):
         for n in range(3):
@@ -232,16 +232,16 @@ def test_block_of_one_matches_single_state_results():
             assert _near([m.mean, m.second, m.spread, m.mean_imag_residue],
                          _old_moments(v, old_op(v, grid), grid))
         product, half, violation = _old_uncertainty(v, grid)
-        report = uncertainty_check(psi, x_op, p_op)
-        assert _near([report.context["product"], report.residual], [product, violation])
-        assert _near([report.context["half_commutator_magnitude"]], [half])
+        data = pair_moments_block(v, grid, x_op, p_op)
+        residual = max(0.0, data["half_commutator_magnitude"] - data["product"])
+        assert _near([data["product"], residual], [product, violation])
+        assert _near([data["half_commutator_magnitude"]], [half])
         mom, _, defect, band_in, band_out = _old_transform_terms(v, grid)
         assert np.array_equal(to_momentum(psi).values, mom)
-        parseval = check_parseval(psi)
-        assert _near([parseval.residual], [(max(defect[0], band_in, band_out), defect[1])])
-        assert _near([parseval.context["norm_defect"]], [defect])
-        assert (parseval.context["band_mass_input"],
-                parseval.context["band_mass_transform"]) == (band_in, band_out)
+        parseval = parseval_block(v, to_momentum(psi).values, grid)
+        assert _near([parseval["residual"]], [(max(defect[0], band_in, band_out), defect[1])])
+        assert _near([parseval["norm_defect"]], [defect])
+        assert (parseval["band_mass_input"], parseval["band_mass_transform"]) == (band_in, band_out)
 
 
 def test_block_of_k_draws_the_same_states_as_k_single_draws():

@@ -180,6 +180,17 @@ def test_values_a_suite_power_overflows_are_config_errors(argv, suite, capsys):
     assert out.err.count("\n") == 1
 
 
+# a Python float power's error names no operation, so the function it ran in
+# is named: conjugate_gaussian_pair's hbar**2, transform_block's 3D scale
+@pytest.mark.parametrize("argv,function", [
+    (["kk", "--hbar", "1e160"], "conjugate_gaussian_pair"),
+    (["fourier", "--hbar", "1e-300"], "transform_block"),
+])
+def test_a_python_float_overflow_names_its_function(argv, function, capsys):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]}: float overflow in {function}; {TRAPPED}"
+
+
 # these sat just inside the per-parameter bounds the config used to predict.
 # Only kk overflows, in conjugate_gaussian_pair's far tails, where exp(-inf)
 # is the Gaussian's exact 0; nothing trips the trap, so each keeps its verdict

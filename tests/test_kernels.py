@@ -44,7 +44,6 @@ from qpb.operators import (
     apply,
     apply_block,
     commutator_apply,
-    commutator_expectation_matrix,
     kronecker_commutators,
     momentum_operator,
     position_operator,
@@ -254,19 +253,18 @@ def test_pair_moments_block_leaves_its_input_and_matches_the_old_expression(n_po
     assert _same_bits(values, kept)
 
 
-@pytest.mark.parametrize("backend", ["spectral", "finite_difference"])
-def test_commutator_matrix_leaves_its_state_and_matches_the_old_loop(backend):
+def test_commutator_matrix_leaves_its_state_and_matches_the_old_loop():
     """Entry (m, n) is <X_m psi|P_n psi> - <psi|P_n X_m psi>, over i hbar,
     each product vector the old expression's bits and each inner product
     within the bound of its exact sum. 32^3 keeps the exact sums quick;
-    tests/test_blocks.py runs the spectral matrix at 64^3."""
+    tests/test_blocks.py runs the matrix at 64^3."""
     grid = make_uniform_grid(3, 32, 8.0, hbar=0.7)
     psi = gaussian_3d(grid, sigmas=(0.9, 1.1, 0.7))
     kept = np.array(psi.values)
     v = psi.values
-    got = commutator_expectation_matrix(psi, backend=backend)
+    got = kronecker_commutators(psi)[0]
     for n in range(3):
-        p_n = momentum_operator(grid, n, backend=backend)
+        p_n = momentum_operator(grid, n)
         p_psi = _old_apply(p_n, v, grid, "position")
         for m in range(3):
             x_psi = _old_apply(position_operator(grid, m), v, grid, "position")
@@ -286,14 +284,14 @@ def _old_inner(a, b, grid):
     return np.sum(rows, axis=-1) * grid.spacing**grid.dim
 
 
-def _old_matrix(psi, backend):
-    """commutator_expectation_matrix's full-array loop: P_n psi once per n,
-    X_m psi in one reused buffer that turns into P_n X_m psi in place."""
+def _old_matrix(psi):
+    """The Kronecker matrix's full-array loop: P_n psi once per n, X_m psi
+    in one reused buffer that turns into P_n X_m psi in place."""
     g, v = psi.grid, psi.values
     out = np.zeros((3, 3), dtype=np.complex128)
     x_buf = np.empty(g.shape, dtype=np.complex128)
     for n in range(3):
-        p_n = momentum_operator(g, n, backend=backend)
+        p_n = momentum_operator(g, n)
         p_psi = apply_block(p_n, v, g)
         for m in range(3):
             x_psi = np.multiply(g.coordinate(m), v, out=x_buf)
@@ -311,23 +309,21 @@ def _old_interior_max(a, b, psi):
     return float(np.max(np.abs(cross.values)[interior])) / peak
 
 
-def _old_kronecker(psi, backend):
+def _old_kronecker(psi):
     grid = psi.grid
-    return _old_matrix(psi, backend), _old_interior_max(
-        position_operator(grid, 0), momentum_operator(grid, 1, backend), psi)
+    return _old_matrix(psi), _old_interior_max(
+        position_operator(grid, 0), momentum_operator(grid, 1), psi)
 
 
 @pytest.mark.parametrize("n_points", [32, 64])
 @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
-@pytest.mark.parametrize("backend", ["spectral", "finite_difference"])
-def test_the_fused_3d_kernel_matches_the_full_array_loops_bit_for_bit(n_points, hbar, backend):
+def test_the_fused_3d_kernel_matches_the_full_array_loops_bit_for_bit(n_points, hbar):
     grid = make_uniform_grid(3, n_points, 8.0, hbar=hbar)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
     kept = np.array(psi.values)
-    matrix, cross = kronecker_commutators(psi, backend=backend)
-    old_matrix, old_cross = _old_kronecker(psi, backend)
+    matrix, cross = kronecker_commutators(psi)
+    old_matrix, old_cross = _old_kronecker(psi)
     assert _same_bits(matrix, old_matrix) and _same_bits(cross, old_cross)
-    assert _same_bits(commutator_expectation_matrix(psi, backend=backend), old_matrix)
     assert _same_bits(psi.values, kept)
 
 
@@ -338,10 +334,9 @@ def test_the_fused_3d_kernel_keeps_its_bits_at_any_slab_width(monkeypatch, block
     monkeypatch.setattr(grids, "BLOCK_SAMPLES", block_samples)
     grid = make_uniform_grid(3, 64, 8.0, hbar=0.7)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
-    for backend in ("spectral", "finite_difference"):
-        matrix, cross = kronecker_commutators(psi, backend=backend)
-        old_matrix, old_cross = _old_kronecker(psi, backend)
-        assert _same_bits(matrix, old_matrix) and _same_bits(cross, old_cross), backend
+    matrix, cross = kronecker_commutators(psi)
+    old_matrix, old_cross = _old_kronecker(psi)
+    assert _same_bits(matrix, old_matrix) and _same_bits(cross, old_cross)
 
 
 def test_the_fused_3d_kernel_keeps_a_nan_of_any_slab(monkeypatch):
@@ -369,7 +364,6 @@ def test_the_fused_3d_kernel_rejects_a_zero_state():
     zero = WaveFunction(grid=grid, representation="position", values=np.zeros(grid.shape))
     with pytest.raises(DegenerateStateError):
         kronecker_commutators(zero)
-    assert _same_bits(commutator_expectation_matrix(zero), np.zeros((3, 3), dtype=np.complex128))
 
 
 @pytest.mark.parametrize("dim,n_points,rows", CASES + [(3, 16, 2)])
@@ -474,15 +468,10 @@ def test_the_fused_3d_kernel_keeps_less_than_a_third_of_a_state_besides_psi():
     state at 64^3, so besides the caller's state the spectral pass holds two
     slabs, the row dots and the FFT's line buffers (0.28 states). The
     full-array loop kept P_n psi and one buffer (2.03 states), and a
-    full-array boundary_mass 0.73. The finite-difference backend holds one
-    slab more, its fresh difference array, and numpy's iterator buffers for
-    the strided slice differences (0.38)."""
+    full-array boundary_mass 0.73."""
     grid = make_uniform_grid(3, 64, 8.0)
     psi = gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8))
-    state = psi.values.nbytes
-    assert _traced_peak(lambda: kronecker_commutators(psi)) < 0.3 * state
-    assert _traced_peak(lambda: kronecker_commutators(psi, backend="finite_difference")) \
-        < 0.5 * state
+    assert _traced_peak(lambda: kronecker_commutators(psi)) < 0.3 * psi.values.nbytes
 
 
 def test_gaussian_3d_keeps_its_array_without_a_copy():

@@ -174,27 +174,6 @@ def test_kk_residual_detects_wrong_half_plane():
     assert report.residual > 1e-2
 
 
-def test_kk_residual_line_pole_needs_dc_adjustment():
-    # the truncated-line pole only satisfies the pair after removing the
-    # window-induced offset; the raw residual stays visibly above tolerance
-    grid = _grid(4096, 64.0)
-    sig = AnalyticSignal(grid, pole_family(grid, 1.0), "lower")
-    adjusted = kk_residual(sig, dc_adjust=True)
-    raw = kk_residual(sig, dc_adjust=False)
-    assert adjusted.residual < raw.residual
-    assert raw.residual > 1e-4
-
-
-def test_analytic_signal_checked_rejects_inconsistent_declaration():
-    grid = _grid(2048, 64.0)
-    with pytest.raises(ConfigurationError):
-        AnalyticSignal.checked(grid, periodized_pole(grid, 1.0, "lower"), "upper")
-    with pytest.raises(ConfigurationError, match="zero"):
-        AnalyticSignal.checked(grid, np.zeros(2048), "lower")
-    ok = AnalyticSignal.checked(grid, periodized_pole(grid, 1.0, "lower"), "lower")
-    assert ok.analyticity_half_plane == "lower"
-
-
 def test_analytic_signal_validates_half_plane_token():
     grid = _grid(256, 8.0)
     with pytest.raises(ConfigurationError):

@@ -9,6 +9,7 @@ import qpb.ladder
 from dense_letters import dense_letters, dense_of_band, same_band_bits
 from qpb.errors import ConfigurationError, ProtectedRangeError
 from qpb.ladder import (
+    M_MAX,
     build,
     check_ladder_algebra,
     eigenstate_overlap_check,
@@ -146,14 +147,16 @@ def test_ht_commutator_is_relative_to_hbar(hbar):
 
 
 def test_eigenstate_overlap_unitary_change_of_basis():
-    report = eigenstate_overlap_check(build(N), m_max=4)
+    report = eigenstate_overlap_check(build(N))
     assert report.passed
     assert report.residual < 1e-10
 
 
 def test_eigenstate_overlap_rejects_states_beyond_the_protected_block():
+    # the protected block of n_trunc states holds number states 0..n_trunc - 2
     with pytest.raises(ProtectedRangeError):
-        eigenstate_overlap_check(build(8), m_max=7)
+        eigenstate_overlap_check(build(M_MAX + 1))
+    assert eigenstate_overlap_check(build(M_MAX + 2)).context["m_max"] == M_MAX
 
 
 def test_energy_time_pair_reconstructs_ladder_operator():
@@ -291,6 +294,6 @@ def test_eigenstate_overlap_nan_norm_defect_fails(monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", spoiled)
-    report = eigenstate_overlap_check(build(N), m_max=4)
+    report = eigenstate_overlap_check(build(N))
     assert np.isnan(report.residual)
     assert not report.passed

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.hermite import hermval
 
 from qpb.errors import ConfigurationError, DegenerateStateError
-from qpb.grids import WaveFunction, inner_product, make_uniform_grid, normalize
+from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid, normalize
 from qpb.states import (
     MAX_OSCILLATOR_LEVEL,
     _band_basis,
@@ -33,7 +33,8 @@ def test_oscillator_eigenstates_orthonormal():
     states = [oscillator_eigenstate(grid, n) for n in range(5)]
     for i, a in enumerate(states):
         for j, b in enumerate(states):
-            assert inner_product(a, b) == pytest.approx(float(i == j), abs=1e-10)
+            assert complex(inner_product_block(a.values, b.values, grid)) == pytest.approx(
+                float(i == j), abs=1e-10)
 
 
 def test_oscillator_eigenstate_parity():

@@ -6,19 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpb import transforms
-from qpb.errors import ConfigurationError, PreconditionError, RepresentationError
-from qpb.grids import WaveFunction, inner_product, make_uniform_grid
+from qpb.errors import PreconditionError, RepresentationError
+from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid
+from qpb.report import CHECKS, make_report
 from qpb.states import conjugate_gaussian_pair, gaussian, random_band_limited
-from qpb.transforms import check_parseval, reciprocal_grid, to_momentum, to_position, transform
+from qpb.transforms import parseval_block, reciprocal_grid, to_momentum, to_position
 
 # |<g_0|g_c>| for two normalized unit-sigma Gaussians a distance c apart is
 # exp(-c^2 / (4 sigma^2)); for c=4, sigma=1 that is exp(-4), frozen here from
 # the closed form so the grid computation is checked against paper, not code.
 GAUSSIAN_OVERLAP_CENTER_4 = 1.831563888873418e-02
+PARSEVAL_TOLERANCE = CHECKS["fourier_parseval"].tolerance
 
 
 def _grid(n=256, half=8.0, hbar=1.0):
     return make_uniform_grid(1, n, half, hbar)
+
+
+def _inner(a, b):
+    return complex(inner_product_block(a.values, b.values, a.grid))
+
+
+def _parseval(psi):
+    """parseval_block's terms for one position-representation state."""
+    return parseval_block(psi.values, to_momentum(psi).values, psi.grid)
 
 
 def test_reciprocal_grid_round_trips_exactly():
@@ -42,7 +53,7 @@ def test_transform_is_unitary_on_inner_products():
     a = random_band_limited(grid, rng)
     b = random_band_limited(grid, rng)
     fa, fb = to_momentum(a), to_momentum(b)
-    assert inner_product(fa, fb) == pytest.approx(inner_product(a, b), abs=1e-13)
+    assert _inner(fa, fb) == pytest.approx(_inner(a, b), abs=1e-13)
 
 
 def test_closed_form_gaussian_pair_matches_transform():
@@ -59,10 +70,10 @@ def test_translated_gaussian_overlap_matches_frozen_oracle():
     grid = _grid(512, 16.0)
     a = gaussian(grid, sigma=1.0, center=0.0)
     b = gaussian(grid, sigma=1.0, center=4.0)
-    overlap = abs(inner_product(a, b))
+    overlap = abs(_inner(a, b))
     assert overlap == pytest.approx(GAUSSIAN_OVERLAP_CENTER_4, abs=1e-12)
     # unitarity carries the same number to the conjugate representation
-    overlap_p = abs(inner_product(to_momentum(a), to_momentum(b)))
+    overlap_p = abs(_inner(to_momentum(a), to_momentum(b)))
     assert overlap_p == pytest.approx(GAUSSIAN_OVERLAP_CENTER_4, abs=1e-12)
 
 
@@ -92,40 +103,35 @@ def test_transform_requires_matching_representation():
         transforms.transform_block(np.ones(64, dtype=complex), grid, "energy")
 
 
-def test_transform_picks_the_direction_from_the_representation():
+def test_each_direction_maps_onto_the_reciprocal_grid():
     psi = gaussian(_grid(64, 4.0), sigma=1.0)
-    image = transform(psi)
-    assert image.representation == "momentum"
-    assert np.array_equal(image.values, to_momentum(psi).values)
-    assert np.array_equal(transform(image).values, to_position(image).values)
-
-
-def test_declared_output_grid_must_satisfy_reciprocity():
-    psi = gaussian(_grid(64, 4.0), sigma=1.0)
-    with pytest.raises(ConfigurationError):
-        to_momentum(psi, out_grid=make_uniform_grid(1, 64, 3.0))
+    image = to_momentum(psi)
+    assert image.representation == "momentum" and image.grid == reciprocal_grid(psi.grid)
+    assert np.array_equal(image.values, transforms.transform_block(psi.values, psi.grid, "position"))
+    back = to_position(image)
+    assert back.representation == "position" and back.grid == reciprocal_grid(image.grid)
+    assert np.array_equal(back.values, transforms.transform_block(image.values, image.grid, "momentum"))
 
 
 def test_parseval_flags_boundary_clipped_state():
     grid = _grid(256, 8.0)
     # sigma comparable to the box: the tails carry visible boundary-band mass
     wide = gaussian(grid, sigma=6.0)
-    report = check_parseval(wide)
-    assert not report.passed
-    assert report.context["band_mass_input"] > report.tolerance
+    terms = _parseval(wide)
+    assert not make_report("fourier_parseval", terms["residual"]).passed
+    assert terms["band_mass_input"] > PARSEVAL_TOLERANCE
 
 
 def test_parseval_passes_well_contained_state():
-    report = check_parseval(gaussian(_grid(), sigma=1.0))
-    assert report.passed
-    assert report.check_id == "fourier_parseval"
+    terms = _parseval(gaussian(_grid(), sigma=1.0))
+    assert make_report("fourier_parseval", terms["residual"]).passed
 
 
 def test_parseval_requires_normalized_state():
     grid = _grid(64, 4.0)
     psi = WaveFunction(grid=grid, representation="position", values=np.ones(64))
     with pytest.raises(PreconditionError):
-        check_parseval(psi)
+        _parseval(psi)
 
 
 def test_parseval_nan_sample_is_precondition_error():
@@ -133,7 +139,7 @@ def test_parseval_nan_sample_is_precondition_error():
     values = np.array(psi.values)
     values[3] = np.nan
     with pytest.raises(PreconditionError):
-        check_parseval(psi.with_values(values))
+        _parseval(psi.with_values(values))
 
 
 def test_parseval_nan_band_mass_fails(monkeypatch):
@@ -141,13 +147,13 @@ def test_parseval_nan_band_mass_fails(monkeypatch):
     original = transforms.boundary_band_fraction
     calls = []
 
-    def spoiled(values, band_divisor=8):
+    def spoiled(values):
         calls.append(1)
-        out = original(values, band_divisor)
+        out = original(values)
         return out * np.nan if len(calls) == 2 else out
 
     monkeypatch.setattr(transforms, "boundary_band_fraction", spoiled)
-    report = check_parseval(gaussian(_grid(), sigma=1.0))
+    terms = _parseval(gaussian(_grid(), sigma=1.0))
     assert len(calls) == 2
-    assert math.isnan(report.residual)
-    assert not report.passed
+    assert math.isnan(terms["residual"])
+    assert not make_report("fourier_parseval", terms["residual"]).passed
