@@ -10,15 +10,8 @@ suites module groups them into named, seeded suites behind the `qpb` CLI.
 """
 
 from .errors import (
-    BoundaryContaminationError,
     ConfigurationError,
-    DegenerateStateError,
     ExprSyntaxError,
-    IncompatibleOperandsError,
-    PhaseUndefinedError,
-    PreconditionError,
-    ProtectedRangeError,
-    RepresentationError,
     ResourceBoundError,
     ToolkitError,
 )
@@ -59,20 +52,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticSignal",
-    "BoundaryContaminationError",
     "CheckReport",
     "ConfigurationError",
-    "DegenerateStateError",
     "ExprSyntaxError",
     "GridOperator",
-    "IncompatibleOperandsError",
     "KNOWN_CHECK_IDS",
     "LadderSystem",
     "Moments",
-    "PhaseUndefinedError",
-    "PreconditionError",
-    "ProtectedRangeError",
-    "RepresentationError",
     "ResourceBoundError",
     "SUITE_NAMES",
     "SuiteConfig",

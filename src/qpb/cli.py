@@ -17,7 +17,7 @@ import argparse
 import gc
 import sys
 
-from .errors import ToolkitError
+from .errors import ConfigurationError, ToolkitError
 from .report import emit_report
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -27,11 +27,11 @@ def _parse_tolerance_overrides(pairs: list[str]) -> dict[str, float]:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise ToolkitError(f"--tolerance expects check_id=value, got {pair!r}")
+            raise ConfigurationError(f"--tolerance expects check_id=value, got {pair!r}")
         try:
             overrides[key] = float(value)
         except ValueError:
-            raise ToolkitError(f"tolerance value for {key!r} is not a number: {value!r}")
+            raise ConfigurationError(f"tolerance value for {key!r} is not a number: {value!r}")
     return overrides
 
 

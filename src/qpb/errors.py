@@ -1,44 +1,25 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+`cli.main` catches `ToolkitError` and prints its message as one `error:`
+line with exit status 2; nothing tells the subclasses apart. An input the
+checks cannot run on (a bad grid, an unnormalized or boundary-contaminated
+state, a wrong representation, mixed operator registers, a value that
+leaves the float range) raises `ConfigurationError`; a size, memory or
+combinatorial cap raises `ResourceBoundError`. `ExprSyntaxError` carries
+the parse position and the expected token set for callers of the grammar.
+"""
 
 
 class ToolkitError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; never raised itself."""
 
 
 class ConfigurationError(ToolkitError):
-    """Invalid grid, suite, or operator configuration."""
-
-
-class RepresentationError(ToolkitError):
-    """Wavefunction carries the wrong representation tag for the requested operation."""
-
-
-class IncompatibleOperandsError(ToolkitError):
-    """Operands live on different grids or representations, or mix operator registers."""
-
-
-class DegenerateStateError(ToolkitError):
-    """The state has zero norm and cannot be normalized or measured."""
-
-
-class PreconditionError(ToolkitError):
-    """A documented operation precondition was violated (for example an unnormalized input)."""
-
-
-class BoundaryContaminationError(ToolkitError):
-    """Too much mass sits near the grid boundary for the periodic identity to be meaningful."""
-
-
-class PhaseUndefinedError(ToolkitError):
-    """Phase comparison requested where the magnitude vanishes."""
+    """An input or configuration that the requested operation cannot run on."""
 
 
 class ResourceBoundError(ToolkitError):
     """An operation or configuration would exceed a configured size, memory or combinatorial bound."""
-
-
-class ProtectedRangeError(ToolkitError):
-    """Requested basis index lies outside the protected block of a truncated system."""
 
 
 class ExprSyntaxError(ToolkitError):

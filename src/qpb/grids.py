@@ -20,9 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateStateError
+from .errors import ConfigurationError
 
 REPRESENTATIONS = ("position", "momentum")
+# Relative tolerance to which `UniformGrid.compatible` compares extent and hbar
+GRID_MATCH_REL = 1e-12
+# Largest |norm - 1| of a state that the checks accept as normalized
+NORMALIZATION_SLACK = 1e-9
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -85,13 +89,13 @@ class UniformGrid:
         shape[axis] = self.n_points
         return pts.reshape(shape)
 
-    def compatible(self, other: "UniformGrid", rel: float = 1e-12) -> bool:
-        """True when the two grids agree up to floating `rel` in extent and hbar."""
+    def compatible(self, other: "UniformGrid") -> bool:
+        """True when the two grids agree up to GRID_MATCH_REL in extent and hbar."""
         return (
             self.dim == other.dim
             and self.n_points == other.n_points
-            and math.isclose(self.half_extent, other.half_extent, rel_tol=rel, abs_tol=0.0)
-            and math.isclose(self.hbar, other.hbar, rel_tol=rel, abs_tol=0.0)
+            and math.isclose(self.half_extent, other.half_extent, rel_tol=GRID_MATCH_REL, abs_tol=0.0)
+            and math.isclose(self.hbar, other.hbar, rel_tol=GRID_MATCH_REL, abs_tol=0.0)
         )
 
 
@@ -124,13 +128,9 @@ class WaveFunction:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, representation: str | None = None,
-                    grid: UniformGrid | None = None) -> "WaveFunction":
-        return WaveFunction(
-            grid=grid if grid is not None else self.grid,
-            representation=representation if representation is not None else self.representation,
-            values=values,
-        )
+    def with_values(self, values: np.ndarray) -> "WaveFunction":
+        """A copy of `values` on this state's grid and representation."""
+        return WaveFunction(grid=self.grid, representation=self.representation, values=values)
 
     @staticmethod
     def _fresh(grid: UniformGrid, representation: str, values: np.ndarray) -> "WaveFunction":
@@ -217,18 +217,25 @@ def norm_block(values: np.ndarray, grid: UniformGrid):
     return np.sqrt(inner_product_block(values, values, grid).real)
 
 
+def require_normalized(norms, message: str) -> None:
+    """Raise ConfigurationError(message) unless every norm lies within
+    NORMALIZATION_SLACK of 1; a NaN norm fails."""
+    if not np.all(np.abs(norms - 1.0) <= NORMALIZATION_SLACK):
+        raise ConfigurationError(message)
+
+
 def normalize_block(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
     """Scale every state of a block to unit norm in place and return the block.
-    Raises DegenerateStateError if any state has zero or non-finite norm."""
+    Raises ConfigurationError if any state has zero or non-finite norm."""
     n = norm_block(values, grid)
     if not np.all((n > 0.0) & np.isfinite(n)):
-        raise DegenerateStateError("cannot normalize a state with zero or non-finite norm")
+        raise ConfigurationError("cannot normalize a state with zero or non-finite norm")
     values /= np.reshape(n, np.shape(n) + (1,) * grid.dim)
     return values
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
-    """Scale psi to unit norm. Raises DegenerateStateError on a zero state."""
+    """Scale psi to unit norm. Raises ConfigurationError on a zero state."""
     return psi.with_values(normalize_block(np.array(psi.values), psi.grid))
 
 

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BoundaryContaminationError,
-    ConfigurationError,
-    PhaseUndefinedError,
-)
+from .errors import ConfigurationError
 from .grids import BOUNDARY_CELLS, UniformGrid
 from .report import CheckReport, make_report, worst
 
@@ -56,7 +52,7 @@ def _relative_boundary_amplitude(values: np.ndarray) -> float:
 def _guard_boundary(values: np.ndarray, what: str) -> float:
     rel = _relative_boundary_amplitude(values)
     if rel > BOUNDARY_AMPLITUDE_LIMIT:
-        raise BoundaryContaminationError(
+        raise ConfigurationError(
             f"{what} has relative boundary amplitude {rel:.3e}, "
             f"above the {BOUNDARY_AMPLITUDE_LIMIT:g} limit for the circular transform"
         )
@@ -275,10 +271,10 @@ def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray)
         raise ConfigurationError("mag, phase_a, phase_b must share one shape")
     peak = float(np.max(mag)) if mag.size else 0.0
     if peak <= 0.0:
-        raise PhaseUndefinedError("phase comparison on an identically zero magnitude")
+        raise ConfigurationError("phase comparison on an identically zero magnitude")
     window = mag >= PHASE_WINDOW_THRESHOLD * peak
     if not np.all(mag[window] > 0.0):
-        raise PhaseUndefinedError("zero magnitude inside the comparison window")
+        raise ConfigurationError("zero magnitude inside the comparison window")
     d = a[window] - b[window]
     reduced = np.abs((d + math.pi) % (2.0 * math.pi) - math.pi)
     residual = float(np.max(reduced))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtectedRangeError
+from .errors import ConfigurationError
 from .report import CheckReport, make_report, worst
 from .symbolic import band_adjoint, band_product, letter_matrices, protected_defect
 
@@ -138,7 +138,7 @@ def eigenstate_overlap_check(system: LadderSystem) -> CheckReport:
     state m has components u[m, j] on the j-th eigenvector of the block."""
     n = system.n_trunc
     if M_MAX > n - 2:
-        raise ProtectedRangeError(f"m_max {M_MAX} outside the protected block")
+        raise ConfigurationError(f"m_max {M_MAX} outside the protected block")
     u_t = np.linalg.eigh(_protected_block(system.time))[1]
     u_h = np.linalg.eigh(_protected_block(system.energy))[1]
     overlap = u_h.conj().T @ u_t

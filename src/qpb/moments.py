@@ -5,7 +5,7 @@ operators built here and keeps variances nonnegative by construction.
 
 `pair_moments_block` is the kernel for a pair of operators: it takes a block
 of states on the trailing grid axes of an array and returns one value per
-state, raising PreconditionError if any state is not normalized or has a
+state, raising ConfigurationError if any state is not normalized or has a
 non-real expectation. `saturation_check` calls it with a single state, as
 `moments` calls the same code for one operator.
 """
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
-from .grids import UniformGrid, WaveFunction, inner_product_block, norm_block
+from .errors import ConfigurationError
+from .grids import UniformGrid, WaveFunction, inner_product_block, norm_block, require_normalized
 from .operators import (
     GridOperator,
     apply,
@@ -27,13 +27,8 @@ from .operators import (
 )
 from .report import CheckReport, make_report, worst
 
-NORMALIZATION_SLACK = 1e-9
 HERMITICITY_SLACK = 1e-10
-
-
-def _require_normalized(norms) -> None:
-    if not np.all(np.abs(norms - 1.0) <= NORMALIZATION_SLACK):
-        raise PreconditionError("moments are defined for normalized states")
+NOT_NORMALIZED = "moments are defined for normalized states"
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ def _moments_of(values: np.ndarray, a_values: np.ndarray, grid: UniformGrid) -> 
     # |<psi|A psi>| <= |A psi| on a normalized state, so the rounding in the
     # imaginary part scales with |A psi|, not with 1
     if not np.all(np.abs(raw_mean.imag) <= HERMITICITY_SLACK * np.sqrt(second)):
-        raise PreconditionError("operator expectation is not real on this state")
+        raise ConfigurationError("operator expectation is not real on this state")
     mean = raw_mean.real
     spread = np.sqrt(np.maximum(second - mean * mean, 0.0))
     return Moments(mean=mean, second=second, spread=spread,
@@ -65,7 +60,7 @@ def moments(psi: WaveFunction, op: GridOperator) -> Moments:
     state: the per-state arithmetic of pair_moments_block, for one operator.
     The state's norm is computed once and kept, so repeated calls on one
     state check it once."""
-    _require_normalized(psi.norm())
+    require_normalized(psi.norm(), NOT_NORMALIZED)
     m = _moments_of(psi.values, apply(op, psi).values, psi.grid)
     return Moments(mean=float(m.mean), second=float(m.second), spread=float(m.spread),
                    mean_imag_residue=float(m.mean_imag_residue))
@@ -76,7 +71,7 @@ def pair_moments_block(values: np.ndarray, grid: UniformGrid, op_a: GridOperator
     """Spreads of A and B, their product and <[A, B]> for every state of a
     block, one entry per state. A psi and B psi are computed once each and
     reused for the commutator (AB - BA) psi."""
-    _require_normalized(norm_block(values, grid))
+    require_normalized(norm_block(values, grid), NOT_NORMALIZED)
     # each product is freed as soon as it is used, so that with the two
     # arrays of a transform at most four state-sized arrays are alive at once
     a_values = apply_block(op_a, values, grid, representation)

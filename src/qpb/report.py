@@ -120,10 +120,11 @@ def worst(values, axis=None):
     return np.max(values, axis=axis)
 
 
-def make_report(check_id: str, residual: float, tolerance: float | None = None,
-                context: dict | None = None, valid: bool = True) -> CheckReport:
-    """Build the CheckReport of a registered check; its citation, and its
-    tolerance unless one is given, come from CHECKS (KeyError on an unknown id).
+def make_report(check_id: str, residual: float, context: dict | None = None,
+                valid: bool = True) -> CheckReport:
+    """Build the CheckReport of a registered check; its citation and its
+    default tolerance come from CHECKS (KeyError on an unknown id). A suite
+    config's override replaces the tolerance afterwards (`run_suite`).
 
     Bound-style checks fold their one-sided slack into `residual` as a
     violation amount (zero when the bound holds), so one verdict rule applies.
@@ -133,7 +134,7 @@ def make_report(check_id: str, residual: float, tolerance: float | None = None,
         check_id=check_id,
         paper_ref=check.paper_ref,
         residual=float(residual),
-        tolerance=float(check.tolerance if tolerance is None else tolerance),
+        tolerance=float(check.tolerance),
         valid=bool(valid),
         context=_plain(context or {}),
     )

@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from ..errors import ConfigurationError, IncompatibleOperandsError, ResourceBoundError
+from ..errors import ConfigurationError, ResourceBoundError
 from .coeffs import GaussianRational, HbarPoly, HP_ONE
 
 _REGISTER_OF = {"X": "XP", "P": "XP", "H": "HT", "T": "HT"}
@@ -39,7 +39,7 @@ def _register_of_word(word: tuple[str, ...]) -> str | None:
         if reg is None:
             reg = r
         elif reg != r:
-            raise IncompatibleOperandsError(
+            raise ConfigurationError(
                 f"word {''.join(word)} mixes the XP and HT registers")
     return reg
 
@@ -105,7 +105,7 @@ class OperatorPoly:
                 if reg is None:
                     reg = r
                 elif reg != r:
-                    raise IncompatibleOperandsError(
+                    raise ConfigurationError(
                         "polynomial mixes the XP and HT registers")
             coeff = HbarPoly.of(coeff)
             if not coeff.is_zero():
@@ -156,7 +156,7 @@ class OperatorPoly:
 
     def _check_register(self, other: "OperatorPoly") -> None:
         if self.register and other.register and self.register != other.register:
-            raise IncompatibleOperandsError(
+            raise ConfigurationError(
                 f"cannot combine {self.register} and {other.register} register polynomials")
 
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":

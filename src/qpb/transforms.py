@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError, RepresentationError
-from .grids import UniformGrid, WaveFunction, boundary_band_fraction, norm_block
+from .errors import ConfigurationError
+from .grids import UniformGrid, WaveFunction, boundary_band_fraction, norm_block, require_normalized
 from .report import worst
 
 
@@ -64,7 +64,7 @@ def transform_block(values: np.ndarray, grid: UniformGrid, representation: str) 
         scale = (grid.spacing / math.sqrt(2.0 * math.pi * grid.hbar)) ** grid.dim
         np.fft.fftn(out, axes=axes, out=out)
     else:
-        raise RepresentationError(f"no transform direction for representation {representation!r}")
+        raise ConfigurationError(f"no transform direction for representation {representation!r}")
     out *= scale * s
     return out
 
@@ -72,7 +72,7 @@ def transform_block(values: np.ndarray, grid: UniformGrid, representation: str) 
 def to_position(psi_p: WaveFunction) -> WaveFunction:
     """Map a momentum-representation state to the position representation."""
     if psi_p.representation != "momentum":
-        raise RepresentationError(f"to_position needs a momentum-representation input, got {psi_p.representation!r}")
+        raise ConfigurationError(f"to_position needs a momentum-representation input, got {psi_p.representation!r}")
     values = transform_block(psi_p.values, psi_p.grid, "momentum")
     return WaveFunction(grid=reciprocal_grid(psi_p.grid), representation="position", values=values)
 
@@ -80,7 +80,7 @@ def to_position(psi_p: WaveFunction) -> WaveFunction:
 def to_momentum(chi_r: WaveFunction) -> WaveFunction:
     """Inverse of to_position: position representation to momentum representation."""
     if chi_r.representation != "position":
-        raise RepresentationError(f"to_momentum needs a position-representation input, got {chi_r.representation!r}")
+        raise ConfigurationError(f"to_momentum needs a position-representation input, got {chi_r.representation!r}")
     values = transform_block(chi_r.values, chi_r.grid, "position")
     return WaveFunction(grid=reciprocal_grid(chi_r.grid), representation="momentum", values=values)
 
@@ -96,8 +96,7 @@ def parseval_block(values: np.ndarray, transformed: np.ndarray, grid: UniformGri
     band masses of the input and the transform join the residual.
     """
     norm_in = norm_block(values, grid)
-    if not np.all(np.abs(norm_in - 1.0) <= 1e-9):
-        raise PreconditionError("parseval_block expects normalized states")
+    require_normalized(norm_in, "parseval_block expects normalized states")
     if grid.dim != 1:
         raise ConfigurationError("parseval_block is defined for 1D states")
     defect = np.abs(norm_block(transformed, reciprocal_grid(grid)) ** 2 - norm_in**2)

@@ -102,6 +102,25 @@ def test_malformed_tolerance_is_config_error():
     assert run("verify", "ladder", "--tolerance", "k=notanumber").returncode == 2
 
 
+# the exact stderr of scenarios the checks cannot run on, one line each
+@pytest.mark.parametrize("argv,line", [
+    ("all --half-extent 4", "boundary mass 1.212e-05 exceeds 1e-06; "
+                            "the periodic commutator identity is meaningless for this state"),
+    ("poisson --n-points 16", "boundary mass 2.036e-06 exceeds 1e-06; "
+                              "the periodic commutator identity is meaningless for this state"),
+    ("kk --half-extent 4", "hilbert_spectral input has relative boundary amplitude 2.466e-01, "
+                           "above the 0.1 limit for the circular transform"),
+    ("uncertainty --half-extent 1e4", "cannot normalize a state with zero or non-finite norm"),
+    ("poisson --half-extent 1e4", "cannot normalize a state with zero or non-finite norm"),
+    ("ladder --tolerance justakey", "--tolerance expects check_id=value, got 'justakey'"),
+])
+def test_config_errors_print_their_message_on_one_line(argv, line, capsys):
+    assert main(["verify", *argv.split()]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {line}\n"
+
+
 def test_unknown_suite_is_usage_error():
     proc = run("verify", "galaxy")
     assert proc.returncode == 2

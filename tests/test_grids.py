@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpb.errors import ConfigurationError, DegenerateStateError
+from qpb.errors import ConfigurationError
 from qpb.grids import (
     UniformGrid,
+    NORMALIZATION_SLACK,
     WaveFunction,
     boundary_mass,
     inner_product_block,
     make_uniform_grid,
     normalize,
+    require_normalized,
     slabs,
 )
 
@@ -117,8 +119,16 @@ def test_normalize_unit_norm_and_zero_state_rejected():
     psi = WaveFunction(grid=grid, representation="position", values=np.full(16, 2.0))
     assert normalize(psi).norm() == pytest.approx(1.0)
     zero = WaveFunction(grid=grid, representation="position", values=np.zeros(16))
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(ConfigurationError, match="cannot normalize a state with zero or non-finite norm"):
         normalize(zero)
+
+
+def test_one_normalization_check_for_a_norm_or_a_block_of_norms():
+    require_normalized(1.0 + NORMALIZATION_SLACK / 2, "unused")
+    require_normalized(np.array([1.0, 1.0 - NORMALIZATION_SLACK / 2]), "unused")
+    for norms in (1.0 + 2 * NORMALIZATION_SLACK, math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ConfigurationError, match="^caller's message$"):
+            require_normalized(norms, "caller's message")
 
 
 def test_boundary_mass_localized_vs_edge():

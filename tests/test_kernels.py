@@ -25,7 +25,7 @@ import pytest
 from dense_letters import dense_letters, same_band_bits
 from exact_sums import exact_inner, exact_norm, gamma
 from qpb import grids, operators
-from qpb.errors import ConfigurationError, DegenerateStateError
+from qpb.errors import ConfigurationError
 from qpb.grids import (
     WaveFunction,
     boundary_mass,
@@ -362,7 +362,7 @@ def test_the_fused_3d_kernel_keeps_a_nan_of_any_slab(monkeypatch):
 def test_the_fused_3d_kernel_rejects_a_zero_state():
     grid = make_uniform_grid(3, 16, 8.0)
     zero = WaveFunction(grid=grid, representation="position", values=np.zeros(grid.shape))
-    with pytest.raises(DegenerateStateError):
+    with pytest.raises(ConfigurationError, match="needs a nonzero, finite state"):
         kronecker_commutators(zero)
 
 

@@ -7,7 +7,7 @@ import pytest
 import dense_ladder
 import qpb.ladder
 from dense_letters import dense_letters, dense_of_band, same_band_bits
-from qpb.errors import ConfigurationError, ProtectedRangeError
+from qpb.errors import ConfigurationError
 from qpb.ladder import (
     M_MAX,
     build,
@@ -154,7 +154,7 @@ def test_eigenstate_overlap_unitary_change_of_basis():
 
 def test_eigenstate_overlap_rejects_states_beyond_the_protected_block():
     # the protected block of n_trunc states holds number states 0..n_trunc - 2
-    with pytest.raises(ProtectedRangeError):
+    with pytest.raises(ConfigurationError, match=f"m_max {M_MAX} outside the protected block"):
         eigenstate_overlap_check(build(M_MAX + 1))
     assert eigenstate_overlap_check(build(M_MAX + 2)).context["m_max"] == M_MAX
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qpb.errors import ConfigurationError, PreconditionError
-from qpb.grids import make_uniform_grid
+from qpb.errors import ConfigurationError
+from qpb.grids import WaveFunction, make_uniform_grid
 from qpb.moments import moments, pair_moments_block, saturation_check, vector_uncertainty_check
 from qpb.operators import momentum_operator, position_operator
 from qpb.states import gaussian, gaussian_3d, oscillator_eigenstate, random_band_limited
@@ -137,7 +137,7 @@ def test_vector_saturation_excludes_excited_factors():
     h1 = oscillator_eigenstate(axis_grid, 1)
     g = gaussian(axis_grid, sigma=1.0)
     values = np.einsum("i,j,k->ijk", h1.values, g.values, g.values)
-    psi = h1.with_values(values, grid=grid)
+    psi = WaveFunction(grid=grid, representation="position", values=values)
     assert vector_uncertainty_check(psi, mode="bound").passed
     off = vector_uncertainty_check(psi, mode="saturation")
     assert not off.passed
@@ -158,7 +158,7 @@ def test_moments_require_normalized_state():
     grid = make_uniform_grid(1, 64, 8.0)
     x_op, _ = _ops(grid)
     psi = gaussian(grid, sigma=1.0).with_values(2.0 * gaussian(grid, sigma=1.0).values)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError, match="moments are defined for normalized states"):
         moments(psi, x_op)
 
 
@@ -167,14 +167,14 @@ def test_moments_nan_state_is_precondition_error():
     x_op, _ = _ops(grid)
     values = np.array(gaussian(grid, sigma=1.0).values)
     values[10] = np.nan
-    with pytest.raises(PreconditionError, match="normalized"):
+    with pytest.raises(ConfigurationError, match="moments are defined for normalized states"):
         moments(gaussian(grid, sigma=1.0).with_values(values), x_op)
 
 
 def test_hermiticity_slack_is_relative_to_the_operator_scale():
     grid = make_uniform_grid(1, 64, 8.0)
     values = gaussian(grid, sigma=1.0).values
-    with pytest.raises(PreconditionError, match="not real"):
+    with pytest.raises(ConfigurationError, match="operator expectation is not real"):
         moments_module._moments_of(values, 1j * values, grid)
     # an imaginary residue of 1e8 at |A psi| ~ 7e19: far above the slack in
     # absolute terms, yet 1e-12 of the operator scale, so it is accepted
@@ -184,7 +184,7 @@ def test_hermiticity_slack_is_relative_to_the_operator_scale():
     assert 1e7 < m.mean_imag_residue < 1e-10 * math.sqrt(m.second)
     assert m.spread > 0.0
     # the same operator with a residue of 1e-9 of its scale is not Hermitian
-    with pytest.raises(PreconditionError, match="not real"):
+    with pytest.raises(ConfigurationError, match="operator expectation is not real"):
         moments_module._moments_of(values, 1e20 * (x * values + 1e-9j * values), grid)
     # a Hermitian operator at a large scale ends in its moments
     x_op, p_op = _ops(make_uniform_grid(1, 64, 8.0, hbar=1e50))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpb import transforms
-from qpb.errors import PreconditionError, RepresentationError
+from qpb.errors import ConfigurationError
 from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid
 from qpb.report import CHECKS, make_report
 from qpb.states import conjugate_gaussian_pair, gaussian, random_band_limited
@@ -99,7 +99,7 @@ def test_momentum_kick_translates_transform():
 
 def test_transform_requires_matching_representation():
     grid = _grid(64, 4.0)
-    with pytest.raises(RepresentationError):
+    with pytest.raises(ConfigurationError, match="no transform direction for representation 'energy'"):
         transforms.transform_block(np.ones(64, dtype=complex), grid, "energy")
 
 
@@ -130,7 +130,7 @@ def test_parseval_passes_well_contained_state():
 def test_parseval_requires_normalized_state():
     grid = _grid(64, 4.0)
     psi = WaveFunction(grid=grid, representation="position", values=np.ones(64))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError, match="parseval_block expects normalized states"):
         _parseval(psi)
 
 
@@ -138,7 +138,7 @@ def test_parseval_nan_sample_is_precondition_error():
     psi = gaussian(_grid(), sigma=1.0)
     values = np.array(psi.values)
     values[3] = np.nan
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigurationError, match="parseval_block expects normalized states"):
         _parseval(psi.with_values(values))
 
 
