@@ -45,7 +45,7 @@ from .states import (
     oscillator_eigenstate,
     random_band_limited,
 )
-from .suites import KNOWN_CHECK_IDS, SUITE_NAMES, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .transforms import reciprocal_grid, to_momentum, to_position
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "ConfigurationError",
     "ExprSyntaxError",
     "GridOperator",
-    "KNOWN_CHECK_IDS",
     "LadderSystem",
     "Moments",
     "ResourceBoundError",

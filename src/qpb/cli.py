@@ -2,7 +2,8 @@
 
 `qpb verify <suite>` runs one named check suite (or `all`) and emits the
 reports as a table or byte-stable JSON. Exit status: 0 when every check
-passed, 1 when any check failed, 2 on usage or configuration errors.
+passed, 1 when any check failed, 2 on usage or configuration errors or an
+`--out` file that cannot be written.
 
 `run()` is the process entry: the `qpb` script and `python -m qpb` call it.
 It returns `main()`'s status after `gc.freeze()`, so the exiting interpreter
@@ -82,8 +83,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = emit_report(reports, args.format)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if all(r.passed for r in reports) else 1

@@ -159,8 +159,8 @@ class WaveFunction:
 ROW_SAMPLES = 4096
 # Samples per piece of streamed work, so that a piece's arrays stay in cache:
 # seeded 1D state families go through the kernels in blocks of 64 states at
-# 256 points and 16 at 1024, a 3D state in `slabs` of 4 rows of 64 x 64 at
-# 64^3, and weyl's oracle in blocks of draws with as many band entries.
+# 256 points and 16 at 1024, and a 3D state in `slabs` of 4 rows of 64 x 64
+# at 64^3.
 BLOCK_SAMPLES = 2**14
 # Samples at each end of an axis that `boundary_mass` counts; the band that
 # `boundary_band_fraction` counts on each side of a row is 1/BAND_DIVISOR of it

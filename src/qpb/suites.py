@@ -73,8 +73,6 @@ from .transforms import (
     transform_block,
 )
 
-KNOWN_CHECK_IDS = frozenset(CHECKS)
-
 _GRID_DEFAULTS = {"kk": (4096, 64.0)}
 _GRID_FALLBACK = (256, 8.0)
 _GRID_3D = (64, 8.0)
@@ -133,7 +131,7 @@ class SuiteConfig:
         if self.n_points is not None and self.n_points > MAX_N_POINTS:
             raise ResourceBoundError(f"n_points {self.n_points} exceeds {MAX_N_POINTS}, "
                                      f"the largest grid within {budget}")
-        unknown = set(self.tolerances) - KNOWN_CHECK_IDS
+        unknown = set(self.tolerances) - set(CHECKS)
         if unknown:
             raise ConfigurationError(
                 f"tolerance overrides for unknown checks: {', '.join(sorted(unknown))}")
@@ -312,54 +310,6 @@ def _kk_checks(cfg: SuiteConfig) -> list[CheckReport]:
     return [r_oracle, r_refine, r_kk, r_wrong, r_phase]
 
 
-def _oracle_block_pairs(n_trunc: int, deg_a: int, deg_b: int) -> int:
-    """Pairs per block of weyl_matrix_oracle's degree class (deg_a, deg_b):
-    as many as keep the block's A, B, [A, B], N, A B, B A and A B - B A
-    within BLOCK_SAMPLES entries, and at least one."""
-    rows = 2 * (2 * deg_a + 1) + (2 * deg_b + 1) + 4 * (2 * (deg_a + deg_b) + 1)
-    return max(1, BLOCK_SAMPLES // (rows * n_trunc))
-
-
-def _oracle_polys(a, b):
-    """The four polynomials weyl_matrix_oracle realizes for a pair, in order:
-    a, b, [a, b] and a's normal form."""
-    return a, b, commutator_poly(a, b), a.normal_form()
-
-
-def _oracle_stacks(pairs: list, degrees: tuple[int, int], n_trunc: int,
-                   hbar: float) -> tuple[np.ndarray, ...]:
-    """Each pair's four realizations (_oracle_polys, realized in that order),
-    stacked along a leading block axis at the class's half-widths deg a,
-    deg b, deg a + deg b and deg a; a lower-degree [a, b] or normal form
-    sits zero-padded in the middle rows. A block of one pair is its four 2D
-    bands as realized, not copies."""
-    if len(pairs) == 1:
-        return tuple(matrix_realize(q, n_trunc, hbar) for q in _oracle_polys(*pairs[0]))
-    deg_a, deg_b = degrees
-    stacks = tuple(np.zeros((len(pairs), 2 * k + 1, n_trunc), dtype=np.complex128)
-                   for k in (deg_a, deg_b, deg_a + deg_b, deg_a))
-    for row, pair in enumerate(pairs):
-        for stack, q in zip(stacks, _oracle_polys(*pair)):
-            band = matrix_realize(q, n_trunc, hbar)
-            pad = (stack.shape[1] - len(band)) // 2
-            stack[row, pad:pad + len(band)] = band
-    return stacks
-
-
-def _oracle_blocks(rng: np.random.Generator, n_trunc: int):
-    """weyl_matrix_oracle's draws, as (degree class, pairs) blocks in the
-    order they fill; the classes' partial blocks follow the last draw."""
-    queues: dict[tuple[int, int], list] = {}
-    for _ in range(N_ORACLE_DRAWS):
-        a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
-        b = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
-        degrees = (a.total_degree(), b.total_degree())
-        queues.setdefault(degrees, []).append((a, b))
-        if len(queues[degrees]) == _oracle_block_pairs(n_trunc, *degrees):
-            yield degrees, queues.pop(degrees)
-    yield from queues.items()
-
-
 def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
     i_hbar = poly_of("i*hbar")
     x, p = poly_of("X"), poly_of("P")
@@ -393,28 +343,24 @@ def _weyl_checks(cfg: SuiteConfig) -> list[CheckReport]:
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_trunc
-    # Each pair waits in the queue of its degree class (deg a, deg b), whose
-    # bands all have one shape. A class's block is checked once it holds
-    # _oracle_block_pairs pairs: the most whose A, B, [A, B], N, A B, B A and
-    # A B - B A fit in BLOCK_SAMPLES entries, and at least one
     residuals = []
-    for (deg_a, deg_b), pairs in _oracle_blocks(rng, n):
-        m_a, m_b, symbolic, nf = _oracle_stacks(pairs, (deg_a, deg_b), n, cfg.hbar)
+    for _ in range(N_ORACLE_DRAWS):
+        a = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
+        b = random_operator_poly(rng, max_degree=ORACLE_TERM_DEGREE, n_terms=3)
+        m_a = matrix_realize(a, n, cfg.hbar)
+        m_b = matrix_realize(b, n, cfg.hbar)
+        symbolic = matrix_realize(commutator_poly(a, b), n, cfg.hbar)
+        nf = matrix_realize(a.normal_form(), n, cfg.hbar)
         ab = band_product(m_a, m_b)
         direct = ab - band_product(m_b, m_a)
         # commutator entries cancel to ~eps of the products' entries, so the
         # defensible scale is the product magnitude, not the block magnitude
         residuals += [
-            worst(protected_defect(symbolic, direct, max(deg_a + deg_b, 1))
-                  / (1.0 + np.max(np.abs(ab), axis=(-2, -1)))),
-            worst(protected_defect(nf, m_a, max(deg_a, 1))
-                  / (1.0 + np.max(np.abs(m_a), axis=(-2, -1)))),
+            protected_defect(symbolic, direct, max(a.total_degree() + b.total_degree(), 1))
+            / (1.0 + float(np.max(np.abs(ab)))),
+            protected_defect(nf, m_a, max(a.total_degree(), 1))
+            / (1.0 + float(np.max(np.abs(m_a)))),
         ]
-        # the bands go now, the products when the next block's replace them,
-        # as in a per-draw loop: freeing a whole block at once lets the heap
-        # shrink and fault back in for the next (three times the minor
-        # faults at n_trunc 1024)
-        del m_a, m_b, symbolic, nf
     r_oracle = make_report(
         "weyl_matrix_oracle", worst(residuals),
         context={"n_draws": N_ORACLE_DRAWS, "n_trunc": n,

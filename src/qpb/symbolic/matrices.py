@@ -117,17 +117,12 @@ def band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A's factor is a[ka + s - t, j - t] (ka, kb the half-widths of a and b).
     A term whose middle index j - t lies off the matrix is absent, exactly as
     in the dense product of the truncated matrices.
-
-    a and b may carry one leading block axis of the same length, a stack of
-    bands of one half-width each; every product in the block then gets the
-    same operations in the same order as its own 2D call.
     """
-    ka, kb, n = a.shape[-2] // 2, b.shape[-2] // 2, a.shape[-1]
-    out = np.zeros(a.shape[:-2] + (2 * (ka + kb) + 1, n), dtype=np.result_type(a, b))
+    ka, kb, n = len(a) // 2, len(b) // 2, a.shape[1]
+    out = np.zeros((2 * (ka + kb) + 1, n), dtype=np.result_type(a, b))
     for t in range(-min(kb, n - 1), min(kb, n - 1) + 1):
         lo, hi = max(t, 0), n + min(t, 0)
-        out[..., kb + t:kb + t + 2 * ka + 1, lo:hi] += (a[..., lo - t:hi - t]
-                                                        * b[..., kb + t, None, lo:hi])
+        out[kb + t:kb + t + 2 * ka + 1, lo:hi] += a[:, lo - t:hi - t] * b[kb + t, lo:hi]
     return out
 
 
@@ -142,26 +137,18 @@ def band_adjoint(band: np.ndarray) -> np.ndarray:
     return out
 
 
-def protected_defect(x: np.ndarray, y: np.ndarray, degree: int) -> float | np.ndarray:
+def protected_defect(x: np.ndarray, y: np.ndarray, degree: int) -> float:
     """max |X[i, j] - Y[i, j]| over the block protected_slice(n_trunc,
     degree) x protected_slice(n_trunc, degree), for X and Y in band storage
-    of any half-widths. A NaN on the block is returned as NaN.
-
-    2D bands give a float. x and y may instead carry one leading block axis
-    of the same length, stacks of bands of one half-width each; then the
-    result is the array of each member's maximum, with the bits of its own
-    2D call."""
-    keep = protected_slice(x.shape[-1], degree).stop
-    kx, ky = x.shape[-2] // 2, y.shape[-2] // 2
+    of any half-widths. A NaN on the block is returned as NaN."""
+    keep = protected_slice(x.shape[1], degree).stop
+    kx, ky = len(x) // 2, len(y) // 2
     k = max(kx, ky)
-    lead = x.shape[:-2]
-    diff = np.zeros(lead + (2 * k + 1, keep), dtype=np.result_type(x, y))
-    diff[..., k - kx:k + kx + 1, :] = x[..., :keep]
-    diff[..., k - ky:k + ky + 1, :] -= y[..., :keep]
+    diff = np.zeros((2 * k + 1, keep), dtype=np.result_type(x, y))
+    diff[k - kx:k + kx + 1] = x[:, :keep]
+    diff[k - ky:k + ky + 1] -= y[:, :keep]
     rows = np.arange(keep) - np.arange(-k, k + 1)[:, None]  # row of entry (k + s, j)
-    defect = np.max(np.abs(diff), axis=(-2, -1), where=(rows >= 0) & (rows < keep),
-                    initial=0.0)
-    return defect if lead else float(defect)
+    return float(np.max(np.abs(diff), where=(rows >= 0) & (rows < keep), initial=0.0))
 
 
 def protected_slice(n_trunc: int, degree: int) -> slice:

@@ -113,6 +113,11 @@ def test_malformed_tolerance_is_config_error():
     ("uncertainty --half-extent 1e4", "cannot normalize a state with zero or non-finite norm"),
     ("poisson --half-extent 1e4", "cannot normalize a state with zero or non-finite norm"),
     ("ladder --tolerance justakey", "--tolerance expects check_id=value, got 'justakey'"),
+    ("all --tolerance nonexistent_check=1.0",
+     "tolerance overrides for unknown checks: nonexistent_check"),
+    ("ladder --out /nonexistent/dir/x.json",
+     "cannot write report to /nonexistent/dir/x.json: No such file or directory"),
+    ("ladder --out .", "cannot write report to .: Is a directory"),
 ])
 def test_config_errors_print_their_message_on_one_line(argv, line, capsys):
     assert main(["verify", *argv.split()]) == 2
