@@ -15,6 +15,7 @@ running in the same process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import sys
 
@@ -77,20 +78,18 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tolerances=_parse_tolerance_overrides(args.tolerance),
         )
-        reports = run_suite(config)
+        # opened before any suite runs, so an unwritable path fails at once
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8")) as fh:
+            reports = run_suite(config)
+            fh.write(emit_report(reports, args.format) + "\n")
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(reports, args.format)
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -3,7 +3,7 @@
 `cli.main` catches `ToolkitError` and prints its message as one `error:`
 line with exit status 2; nothing tells the subclasses apart. An input the
 checks cannot run on (a bad grid, an unnormalized or boundary-contaminated
-state, a wrong representation, mixed operator registers, a value that
+state, a wrong representation, an unknown operator letter, a value that
 leaves the float range) raises `ConfigurationError`; a size, memory or
 combinatorial cap raises `ResourceBoundError`. `ExprSyntaxError` carries
 the parse position and the expected token set for callers of the grammar.

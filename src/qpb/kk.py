@@ -216,8 +216,9 @@ def kk_residual(f: AnalyticSignal) -> CheckReport:
     )
 
 
-def pole_family(grid: UniformGrid, a: float, half_plane: str = "lower") -> np.ndarray:
-    """Samples of 1/(u - i a) (lower) or 1/(u + i a) (upper), a > 0.
+def pole_family(grid: UniformGrid, a: float) -> np.ndarray:
+    """Samples of 1/(u - i a), a > 0, analytic in the lower half-plane; its
+    conjugate is the upper half-plane's signal.
 
     The line-integral dispersion pair holds exactly for these; on the circular
     grid the window truncation leaves an O(1/L) tail, so residuals shrink
@@ -225,14 +226,11 @@ def pole_family(grid: UniformGrid, a: float, half_plane: str = "lower") -> np.nd
     """
     if a <= 0:
         raise ConfigurationError("pole offset a must be positive")
-    if half_plane not in ("upper", "lower"):
-        raise ConfigurationError("half_plane must be 'upper' or 'lower'")
     u = grid.axis_points()
-    pole = 1j * a if half_plane == "lower" else -1j * a
-    return 1.0 / (u - pole)
+    return 1.0 / (u - 1j * a)
 
 
-def periodized_pole(grid: UniformGrid, a: float, half_plane: str = "lower") -> np.ndarray:
+def periodized_pole(grid: UniformGrid, a: float) -> np.ndarray:
     """Periodization of the pole family over the grid's 2 L period:
 
         sum_k 1/(u - i a + 2 L k) = (pi / 2 L) cot(pi (u - i a) / 2 L)
@@ -246,12 +244,9 @@ def periodized_pole(grid: UniformGrid, a: float, half_plane: str = "lower") -> n
     """
     if a <= 0:
         raise ConfigurationError("pole offset a must be positive")
-    if half_plane not in ("upper", "lower"):
-        raise ConfigurationError("half_plane must be 'upper' or 'lower'")
     u = grid.axis_points()
     period = 2.0 * grid.half_extent
-    pole = 1j * a if half_plane == "lower" else -1j * a
-    return (math.pi / period) / np.tan(math.pi * (u - pole) / period)
+    return (math.pi / period) / np.tan(math.pi * (u - 1j * a) / period)
 
 
 def phase_equivalence(mag: np.ndarray, phase_a: np.ndarray, phase_b: np.ndarray) -> CheckReport:

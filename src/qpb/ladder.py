@@ -1,15 +1,15 @@
 """Truncated ladder pair for the energy-time algebra.
 
-The lowering matrix b has b[m-1, m] = sqrt(m). The Hermitian pair
+The lowering matrix b has b[m-1, m] = sqrt(m), read from
+qpb.symbolic.matrices.letter_matrices. build forms the Hermitian pair
 
-    H = omega * (hbar * (b + b*) / sqrt(2))      T = (1 / omega) * (b - b*) / (i sqrt(2))
+    H = omega * (hbar * ((b + b*) / sqrt(2)))      T = (1 / omega) * ((b - b*) / (i sqrt(2)))
 
-is read from the letters b, H and T of qpb.symbolic.matrices.letter_matrices,
-whose grouping makes frequency covariance a bitwise float identity: scaling
-omega rescales H by omega and T by 1/omega with no other change. Each letter
-is kept as letter_matrices returns it, in the band storage of
-qpb.symbolic.matrices (band[k + s, j] = M[j - s, j], half-width k = 1), and
-the number operator b*b + 1/2 as a band of half-width 0, its diagonal. The
+with exactly that grouping, which makes frequency covariance a bitwise float
+identity: scaling omega rescales H by omega and T by 1/omega with no other
+change. b, H and T are kept in the band storage of qpb.symbolic.matrices
+(band[k + s, j] = M[j - s, j], half-width k = 1), and the number operator
+b*b + 1/2 as a band of half-width 0, its diagonal. The
 checks multiply these bands with band_product, so no n_trunc x n_trunc array
 is formed except the protected blocks that eigh needs. Their commutator at
 truncation N is
@@ -76,11 +76,15 @@ def _relation_defect(a: np.ndarray, b: np.ndarray, relation: np.ndarray,
 def build(n_trunc: int = 64, omega: float = 1.0, hbar: float = 1.0) -> LadderSystem:
     if n_trunc < 4:
         raise ConfigurationError("ladder truncation below 4 leaves nothing to check")
-    letters = letter_matrices(n_trunc, hbar, omega)
-    b = letters["b"]
-    number = band_product(band_adjoint(b), b)[2:3] + 0.5
-    return LadderSystem(n_trunc, omega, hbar, lowering=b, energy=letters["H"],
-                        time=letters["T"], number=number)
+    b = letter_matrices(n_trunc, hbar)["b"]
+    if omega <= 0:
+        raise ConfigurationError("omega must be positive")
+    bd = band_adjoint(b)
+    energy = omega * (hbar * ((b + bd) / np.sqrt(2.0)))
+    time = (1.0 / omega) * ((b - bd) / (1j * np.sqrt(2.0)))
+    number = band_product(bd, b)[2:3] + 0.5
+    return LadderSystem(n_trunc, omega, hbar, lowering=b, energy=energy, time=time,
+                        number=number)
 
 
 def check_ladder_algebra(system: LadderSystem) -> CheckReport:

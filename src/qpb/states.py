@@ -24,9 +24,9 @@ def gaussian(grid: UniformGrid, sigma: float = 1.0, center: float = 0.0,
     return normalize(WaveFunction(grid=grid, representation=representation, values=v))
 
 
-def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0),
-                representation: str = "position") -> WaveFunction:
-    """Normalized 3D Gaussian with per-axis widths."""
+def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0)) -> WaveFunction:
+    """Normalized 3D Gaussian with per-axis widths, in the position
+    representation."""
     if grid.dim != 3:
         raise ConfigurationError("gaussian_3d needs a 3D grid")
     if len(sigmas) != 3 or any(not s > 0 for s in sigmas):
@@ -35,7 +35,7 @@ def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0),
     # the real product in the real parts has the bits of three complex products
     v = np.zeros(grid.shape, dtype=np.complex128)
     np.multiply(e[0] * e[1], e[2], out=v.real)
-    return WaveFunction._fresh(grid, representation, normalize_block(v, grid))
+    return WaveFunction._fresh(grid, "position", normalize_block(v, grid))
 
 
 def _hermite(x: np.ndarray, n: int) -> np.ndarray:
@@ -55,9 +55,9 @@ def _hermite(x: np.ndarray, n: int) -> np.ndarray:
 MAX_OSCILLATOR_LEVEL = 150
 
 
-def oscillator_eigenstate(grid: UniformGrid, n: int, sigma: float = 1.0) -> WaveFunction:
-    """n-th weighted-Hermite state H_n(x/sigma) exp(-x^2 / 2 sigma^2), normalized,
-    for 0 <= n <= MAX_OSCILLATOR_LEVEL."""
+def oscillator_eigenstate(grid: UniformGrid, n: int) -> WaveFunction:
+    """n-th weighted-Hermite state H_n(x) exp(-x^2 / 2), normalized, for
+    0 <= n <= MAX_OSCILLATOR_LEVEL."""
     if grid.dim != 1:
         raise ConfigurationError("oscillator_eigenstate builds 1D states")
     if n < 0:
@@ -66,12 +66,9 @@ def oscillator_eigenstate(grid: UniformGrid, n: int, sigma: float = 1.0) -> Wave
         raise ConfigurationError(
             f"oscillator level {n} exceeds {MAX_OSCILLATOR_LEVEL}, the largest whose "
             f"norm factor 2^n n! is a finite float")
-    if not sigma > 0:
-        raise ConfigurationError("sigma must be positive")
     x = grid.axis_points()
-    h = _hermite(x / sigma, n)
-    v = h * np.exp(-(x**2) / (2.0 * sigma**2))
-    v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi) * sigma)
+    v = _hermite(x, n) * np.exp(-(x**2) / 2.0)
+    v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
     return normalize(WaveFunction(grid=grid, representation="position", values=v.astype(np.complex128)))
 
 
@@ -108,51 +105,50 @@ def conjugate_gaussian_pair(grid_p: UniformGrid, sigma: float = 1.0, center: flo
     )
 
 
+# random_band_limited's plane waves run over k = -N_MODES..N_MODES, under a
+# Gaussian envelope of width L/ENVELOPE_DIVISOR
+N_MODES = 6
+ENVELOPE_DIVISOR = 8.0
+
+
 @functools.lru_cache(maxsize=8)
-def _band_basis(grid: UniformGrid, n_modes: int,
-                envelope_divisor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only plane waves exp(i pi k x / L), k = -n_modes..n_modes, and the
-    Gaussian envelope of width L/envelope_divisor on a 1D grid."""
+def _band_basis(grid: UniformGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only plane waves exp(i pi k x / L), k = -N_MODES..N_MODES, and the
+    Gaussian envelope of width L/ENVELOPE_DIVISOR on a 1D grid."""
     x = grid.axis_points()
     L = grid.half_extent
-    waves = np.empty((2 * n_modes + 1, grid.n_points), dtype=np.complex128)
-    for j in range(2 * n_modes + 1):
-        waves[j] = np.exp(1j * math.pi * (j - n_modes) * x / L)
-    envelope = np.exp(-(x**2) / (2.0 * (L / envelope_divisor) ** 2))
+    waves = np.empty((2 * N_MODES + 1, grid.n_points), dtype=np.complex128)
+    for j in range(2 * N_MODES + 1):
+        waves[j] = np.exp(1j * math.pi * (j - N_MODES) * x / L)
+    envelope = np.exp(-(x**2) / (2.0 * (L / ENVELOPE_DIVISOR) ** 2))
     waves.flags.writeable = False
     envelope.flags.writeable = False
     return waves, envelope
 
 
-def random_band_limited(grid: UniformGrid, rng: np.random.Generator, n_modes: int = 6,
-                        envelope_divisor: float = 8.0, representation: str = "position",
-                        n_states: int | None = None):
-    """Seeded boundary-clean state: Gaussian envelope times random low modes.
+def random_band_limited(grid: UniformGrid, rng: np.random.Generator,
+                        n_states: int) -> np.ndarray:
+    """Seeded boundary-clean states: Gaussian envelope times random low modes.
 
-    The envelope width L/envelope_divisor keeps boundary-band mass far below
+    The envelope width L/ENVELOPE_DIVISOR keeps boundary-band mass far below
     the unitarity tolerances, so these states are valid inputs for round-trip
-    and norm-preservation properties. The basis is computed once per
-    (grid, n_modes, envelope_divisor); only the coefficients are drawn, and
-    each mode term of a block goes through one reused work buffer.
+    and norm-preservation properties. The basis is computed once per grid;
+    only the coefficients are drawn, and each mode term of a block goes
+    through one reused work buffer.
 
-    Draws a block: with n_states, the result is the (n_states, n_points)
-    array of normalized samples, one state per row; without, it is a
-    WaveFunction holding row 0 of a block of one. Each row takes its
-    2 n_modes + 1 real, then 2 n_modes + 1 imaginary coefficient parts next
-    from rng, so a block of k and k single draws consume the same stream and
-    give the same bits.
+    Returns the (n_states, n_points) array of normalized position samples,
+    one state per row. Each row takes its 2 N_MODES + 1 real, then
+    2 N_MODES + 1 imaginary coefficient parts next from rng, so a block of k
+    and k blocks of one consume the same stream and give the same bits.
     """
     if grid.dim != 1:
         raise ConfigurationError("random_band_limited builds 1D states")
-    waves, envelope = _band_basis(grid, n_modes, envelope_divisor)
-    draws = rng.normal(size=(1 if n_states is None else n_states, 2, 2 * n_modes + 1))
+    waves, envelope = _band_basis(grid)
+    draws = rng.normal(size=(n_states, 2, 2 * N_MODES + 1))
     c = draws[:, 0] + 1j * draws[:, 1]
-    modes = np.zeros((len(c), grid.n_points), dtype=np.complex128)
+    modes = np.zeros((n_states, grid.n_points), dtype=np.complex128)
     term = np.empty_like(modes)
-    for j in range(2 * n_modes + 1):
+    for j in range(2 * N_MODES + 1):
         modes += np.multiply(c[:, j, None], waves[j], out=term)
     modes *= envelope
-    block = normalize_block(modes, grid)
-    if n_states is not None:
-        return block
-    return WaveFunction(grid=grid, representation=representation, values=block[0])
+    return normalize_block(modes, grid)

@@ -6,14 +6,13 @@ juxtaposition only):
     expr   := term (('+' | '-') term)*
     term   := factor factor*
     factor := atom ('^' UINT)?
-    atom   := 'X' | 'P' | 'H' | 'T' | scalar
+    atom   := 'X' | 'P' | scalar
             | 'S{' expr '}' | '[' expr ',' expr ']' | '(' expr ')'
     scalar := rational? ('*')? ('i')? ('*')? ('hbar' ('^' UINT)?)?
               with at least one part present; rational := UINT ('/' UINT)?
 
 '*' appears only inside scalars, between their parts. The ASCII hyphen and
-U+2212 are both accepted as minus. Position and momentum letters may not mix
-with energy and time letters in one expression.
+U+2212 are both accepted as minus.
 
 print_expression produces the canonical spelling (stars inside scalars,
 single-space juxtaposition, minimal parentheses) and parsing it back
@@ -32,8 +31,7 @@ from .poly import OperatorPoly, commutator_poly, weyl_symmetrize
 
 Node = Union["Sym", "Scalar", "Sum", "Prod", "Pow", "Comm", "WeylS"]
 
-_LETTERS = ("X", "P", "H", "T")
-_XP, _HT = {"X", "P"}, {"H", "T"}
+_LETTERS = ("X", "P")
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,8 @@ class WeylS:
 
 
 _PUNCT = set("+-*/^{}[](),")
-_WORDS = {"X", "P", "H", "T", "i", "hbar", "S"}
-_ATOM_EXPECT = frozenset({"X", "P", "H", "T", "i", "hbar", "S{", "integer", "(", "["})
+_WORDS = {"X", "P", "i", "hbar", "S"}
+_ATOM_EXPECT = frozenset({"X", "P", "i", "hbar", "S{", "integer", "(", "["})
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -145,7 +143,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.register: set[str] | None = None
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -179,13 +176,6 @@ class _Parser:
         self.advance()
         return int(value)
 
-    def note_register(self, letter: str, pos: int):
-        group = _XP if letter in _XP else _HT
-        if self.register is None:
-            self.register = group
-        elif letter not in self.register:
-            raise ExprSyntaxError(pos, frozenset(sorted(self.register)), letter)
-
     def starts_factor(self) -> bool:
         kind, value, _ = self.peek()
         if kind == "int":
@@ -215,10 +205,9 @@ class _Parser:
         return atom
 
     def parse_atom(self) -> Node:
-        kind, value, pos = self.peek()
+        kind, value, _ = self.peek()
         if kind == "word" and value in _LETTERS:
             self.advance()
-            self.note_register(value, pos)
             return Sym(value)
         if kind == "int" or (kind == "word" and value in ("i", "hbar")):
             return self.parse_scalar()

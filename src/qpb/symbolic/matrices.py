@@ -4,9 +4,8 @@ The letters act on the first n_trunc number states through the ladder matrix
 b with b[m-1, m] = sqrt(m):
 
     X = sqrt(hbar/2) (b + b*)          P = i sqrt(hbar/2) (b* - b)
-    H = omega hbar (b + b*) / sqrt(2)  T = (b - b*) / (i sqrt(2) omega)
 
-Both pairs satisfy [A, B] = i hbar on every basis state except the last, so a
+The pair satisfies [X, P] = i hbar on every basis state except the last, so a
 product of words of total degree d is exact in the first n_trunc - d rows and
 in the first n_trunc - d columns; the truncation leaks in only where both the
 row and the column lie beyond them. Letters, realizations, their products
@@ -25,45 +24,33 @@ from ..errors import ConfigurationError
 from .poly import OperatorPoly
 
 
-def letter_matrices(n_trunc: int, hbar_value: float,
-                    omega: float = 1.0) -> dict[str, np.ndarray]:
-    """b and each letter in band storage, band[1 + s, j] = L[j - s, j], by
-    the dense formulas applied entry by entry: every entry on the matrix has
-    the raw bits of the dense letter's, signs of zeros included."""
+def letter_matrices(n_trunc: int, hbar_value: float) -> dict[str, np.ndarray]:
+    """b, X and P in band storage, band[1 + s, j] = L[j - s, j], by the
+    dense formulas applied entry by entry: every entry on the matrix has the
+    raw bits of the dense letter's, signs of zeros included."""
     if n_trunc < 2:
         raise ConfigurationError("matrix realization needs at least 2 basis states")
     if hbar_value <= 0:
         raise ConfigurationError("hbar_value must be positive")
-    if omega <= 0:
-        raise ConfigurationError("omega must be positive")
     b = np.zeros((3, n_trunc), dtype=np.complex128)
     b[2, 1:] = np.sqrt(np.arange(1, n_trunc, dtype=np.float64))
     bd = band_adjoint(b)
-    sym = (b + bd) / np.sqrt(2.0)
-    anti = (b - bd) / (1j * np.sqrt(2.0))
     root = np.sqrt(hbar_value / 2.0)
-    return {
-        "b": b,
-        "X": root * (b + bd),
-        "P": 1j * root * (bd - b),
-        "H": omega * (hbar_value * sym),
-        "T": (1.0 / omega) * anti,
-    }
+    return {"b": b, "X": root * (b + bd), "P": 1j * root * (bd - b)}
 
 
 @lru_cache(maxsize=8)
-def _letter_bands(n_trunc: int, hbar_value: float, omega: float) -> dict[str, np.ndarray]:
+def _letter_bands(n_trunc: int, hbar_value: float) -> dict[str, np.ndarray]:
     """letter_matrices frozen read-only, for matrix_realize. weyl uses one
     entry per run, so the live one is never evicted."""
-    bands = letter_matrices(n_trunc, hbar_value, omega)
+    bands = letter_matrices(n_trunc, hbar_value)
     for band in bands.values():
         band.flags.writeable = False
     return bands
 
 
 @lru_cache(maxsize=64)
-def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
-               omega: float) -> np.ndarray:
+def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float) -> np.ndarray:
     """Read-only band storage of a word's matrix product: for d = len(word),
     band[d + s, j] = M[j - s, j] for s = -d..d.
 
@@ -73,16 +60,15 @@ def _word_band(word: tuple[str, ...], n_trunc: int, hbar_value: float,
     most 657 band rows: 21 MB at n_trunc 2048.
     """
     if word:
-        band = band_product(_word_band(word[:-1], n_trunc, hbar_value, omega),
-                            _letter_bands(n_trunc, hbar_value, omega)[word[-1]])
+        band = band_product(_word_band(word[:-1], n_trunc, hbar_value),
+                            _letter_bands(n_trunc, hbar_value)[word[-1]])
     else:
         band = np.ones((1, n_trunc), dtype=np.complex128)
     band.flags.writeable = False
     return band
 
 
-def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
-                   omega: float = 1.0) -> np.ndarray:
+def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float) -> np.ndarray:
     """Band storage of the sum of word products, with coefficients evaluated
     at hbar_value: for k = p.total_degree(), band[k + s, j] = M[j - s, j] for
     s = -k..k, zero where j - s lies off the matrix.
@@ -98,13 +84,13 @@ def matrix_realize(p: OperatorPoly, n_trunc: int, hbar_value: float,
     i and j lie beyond protected_slice(n_trunc, p.total_degree()): the rows
     of that slice are exact, and so are its columns.
     """
-    _letter_bands(n_trunc, hbar_value, omega)  # validates hbar_value and omega
+    _letter_bands(n_trunc, hbar_value)  # validates n_trunc and hbar_value
     k = p.total_degree()
     total = np.zeros((2 * k + 1, n_trunc), dtype=np.complex128)
     for word, coeff in p.terms():
         d = len(word)
         total[k - d:k + d + 1] += coeff.evaluate(hbar_value) * _word_band(
-            word, n_trunc, hbar_value, omega)
+            word, n_trunc, hbar_value)
     return total
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 
 def dense_letters(n_trunc, hbar_value, omega=1.0):
-    """{"b", "X", "P", "H", "T"} as dense complex128 matrices."""
+    """{"b", "X", "P", "H", "T"} as dense complex128 matrices: the letters of
+    qpb.symbolic.matrices and the energy-time pair of ladder.build."""
     b = np.diag(np.sqrt(np.arange(1, n_trunc, dtype=np.float64)), k=1).astype(np.complex128)
     bd = b.conj().T
     sym = (b + bd) / np.sqrt(2.0)
@@ -28,10 +29,10 @@ def dense_letters(n_trunc, hbar_value, omega=1.0):
     }
 
 
-def dense_realize(p, n_trunc, hbar_value, omega=1.0):
+def dense_realize(p, n_trunc, hbar_value):
     """Word products as chains of dense matmuls from the identity; also returns
     the entrywise sum of |coeff| |L1|...|Ld| that bounds their rounding."""
-    letters = dense_letters(n_trunc, hbar_value, omega)
+    letters = dense_letters(n_trunc, hbar_value)
     total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
     magnitude = np.zeros((n_trunc, n_trunc))
     for word, coeff in p.terms():

@@ -36,6 +36,7 @@ from qpb.symbolic import (
     weyl_symmetrize,
 )
 from qpb.transforms import parseval_block, to_momentum, to_position
+from random_states import random_state
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -84,7 +85,7 @@ def test_criterion_04_transform_unitarity():
     round_trip = 0.0
     parseval = 0.0
     for _ in range(100):
-        psi = random_band_limited(grid, rng)
+        psi = random_state(grid, rng)
         back = to_position(to_momentum(psi))
         round_trip = max(round_trip, float(np.max(np.abs(back.values - psi.values))))
         terms = parseval_block(psi.values, to_momentum(psi).values, grid)
@@ -108,7 +109,7 @@ def test_criterion_05_kramers_kronig():
         h = hilbert_spectral(sig, gi)
         j = gi.n_points // 2
         line_gaps.append(abs(pv_quadrature(sig, gi, j, kernel="line") - h[j]))
-    wrong = kk_residual(AnalyticSignal(grid, pole_family(grid, 1.0, "lower"), "upper")).residual
+    wrong = kk_residual(AnalyticSignal(grid, pole_family(grid, 1.0), "upper")).residual
     ok = (oracle_gap <= 1e-5 and line_gaps[0] > line_gaps[1] > line_gaps[2] and wrong > 1e-2)
     _verdict(5, ok, f"dispersion pair: oracle gap {oracle_gap:.2e} <= 1e-5, line-kernel gaps "
                     f"{line_gaps[0]:.2e} > {line_gaps[1]:.2e} > {line_gaps[2]:.2e}, "
@@ -167,7 +168,7 @@ def test_criterion_08_uncertainty():
     rng = np.random.default_rng(0)
     bound = 0.0
     for _ in range(500):
-        data = pair_moments_block(random_band_limited(grid, rng).values, grid, x_op, p_op)
+        data = pair_moments_block(random_band_limited(grid, rng, n_states=1)[0], grid, x_op, p_op)
         bound = max(bound, float(data["half_commutator_magnitude"] - data["product"]))
     grid3 = make_uniform_grid(3, 64, 8.0)
     vec = vector_uncertainty_check(gaussian_3d(grid3, sigmas=(1.0, 1.0, 1.0)),

@@ -28,6 +28,7 @@ from qpb.operators import (
 from qpb.states import gaussian_3d, random_band_limited
 from qpb.suites import BLOCK_SAMPLES, N_BOUND_STATES, N_TRANSFORM_STATES, _block_sizes
 from qpb.transforms import parseval_block, reciprocal_grid, to_momentum, transform_block
+from random_states import random_state
 
 
 def _old_state(grid, rng, n_modes=6, divisor=8.0):
@@ -224,7 +225,7 @@ def test_block_of_one_matches_single_state_results():
     x_op, p_op = position_operator(grid), momentum_operator(grid)
     rng, old_rng = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(5):
-        psi = random_band_limited(grid, rng)
+        psi = random_state(grid, rng)
         v = psi.values
         assert _same_state(v, _old_state(grid, old_rng), grid)
         for op, old_op in ((x_op, _old_x), (p_op, _old_p)):
@@ -248,7 +249,7 @@ def test_block_of_k_draws_the_same_states_as_k_single_draws():
     grid = make_uniform_grid(1, 128, 6.0)
     block = random_band_limited(grid, np.random.default_rng(4), n_states=7)
     rng = np.random.default_rng(4)
-    singles = [random_band_limited(grid, rng).values for _ in range(7)]
+    singles = [random_band_limited(grid, rng, n_states=1)[0] for _ in range(7)]
     assert np.array_equal(block, np.array(singles))
 
 

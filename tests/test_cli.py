@@ -126,6 +126,27 @@ def test_config_errors_print_their_message_on_one_line(argv, line, capsys):
     assert out.err == f"error: {line}\n"
 
 
+def test_an_unwritable_out_fails_before_any_suite_runs(monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert main(["verify", "all", "--n-points", "65536",
+                 "--out", "/nonexistent/dir/x.json"]) == 2
+    assert capsys.readouterr().err == ("error: cannot write report to /nonexistent/dir/x.json: "
+                                       "No such file or directory\n")
+
+
+def test_out_is_untouched_by_a_config_error_and_empty_after_a_suite_error(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    assert main(["verify", "ladder", "--tolerance", "justakey", "--out", str(target)]) == 2
+    assert not target.exists()
+    # the file is open before the suite runs, which then leaves the float range
+    assert main(["verify", "weyl", "--hbar", "1e100", "--out", str(target)]) == 2
+    assert target.read_text() == ""
+    assert capsys.readouterr().err.endswith(TRAPPED)
+
+
 def test_unknown_suite_is_usage_error():
     proc = run("verify", "galaxy")
     assert proc.returncode == 2

@@ -5,12 +5,12 @@ report records, so that the reports keep their bytes."""
 import numpy as np
 import pytest
 
-from qpb import grids, kk, ladder, operators
+from qpb import grids, kk, ladder, operators, states
 from qpb.grids import WaveFunction, boundary_band_fraction, boundary_mass, make_uniform_grid
 from qpb.kk import AnalyticSignal, kk_residual, periodized_pole, phase_equivalence
 from qpb.ladder import build, eigenstate_overlap_check, scaling_exact_check
 from qpb.operators import corollary_residual_momentum, poisson_residual
-from qpb.states import gaussian
+from qpb.states import gaussian, random_band_limited
 from qpb.transforms import to_momentum
 
 
@@ -54,6 +54,20 @@ def test_the_phase_window_starts_at_its_threshold_of_the_peak():
         assert report.passed == (residual == 0.0)
 
 
+def test_random_band_limited_reads_its_mode_count_and_envelope_width():
+    assert (states.N_MODES, states.ENVELOPE_DIVISOR) == (6, 8.0)
+    grid = make_uniform_grid(1, 64, 8.0)
+    x, half = grid.axis_points(), grid.half_extent
+    waves, envelope = states._band_basis(grid)
+    # the plane waves run from wavenumber -N_MODES pi / L to N_MODES pi / L
+    assert len(waves) == 2 * states.N_MODES + 1
+    for row, k in ((0, -states.N_MODES), (-1, states.N_MODES)):
+        assert np.allclose(waves[row], np.exp(1j * np.pi * k * x / half), rtol=0, atol=1e-14)
+    width = half / states.ENVELOPE_DIVISOR
+    assert np.allclose(envelope, np.exp(-(x**2) / (2.0 * width**2)), rtol=0, atol=1e-15)
+    assert random_band_limited(grid, np.random.default_rng(0), n_states=2).shape == (2, 64)
+
+
 def _line_grid():
     return make_uniform_grid(1, 2048, 64.0)
 
@@ -67,7 +81,7 @@ def _gaussian():
 RECORDED = {
     "kk_residual": (
         lambda: kk_residual(AnalyticSignal(
-            _line_grid(), periodized_pole(_line_grid(), 1.0, "lower"), "lower")),
+            _line_grid(), periodized_pole(_line_grid(), 1.0), "lower")),
         "dc_adjusted", None, True),
     "phase_equivalence": (
         lambda: phase_equivalence(np.ones(16), np.zeros(16), np.zeros(16)),

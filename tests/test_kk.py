@@ -159,15 +159,17 @@ def test_kk_residual_periodized_pole_both_planes():
     # 4096 points push the spectral tail of the a=0.5 member below Nyquist
     grid = _grid(4096, 64.0)
     for a in (0.5, 1.0, 2.0):
-        lower = AnalyticSignal(grid, periodized_pole(grid, a, "lower"), "lower")
-        upper = AnalyticSignal(grid, periodized_pole(grid, a, "upper"), "upper")
+        values = periodized_pole(grid, a)
+        lower = AnalyticSignal(grid, values, "lower")
+        # the conjugate is analytic in the upper half-plane
+        upper = AnalyticSignal(grid, np.conj(values), "upper")
         assert kk_residual(lower).residual < 1e-12
         assert kk_residual(upper).residual < 1e-12
 
 
 def test_kk_residual_detects_wrong_half_plane():
     grid = _grid(2048, 64.0)
-    values = periodized_pole(grid, 1.0, "lower")
+    values = periodized_pole(grid, 1.0)
     wrong = AnalyticSignal(grid, values, "upper")
     report = kk_residual(wrong)
     assert not report.passed
@@ -232,7 +234,7 @@ def test_pole_family_validates_parameters():
     with pytest.raises(ConfigurationError):
         pole_family(grid, -1.0)
     with pytest.raises(ConfigurationError):
-        periodized_pole(grid, 1.0, "diagonal")
+        periodized_pole(grid, 0.0)
 
 
 def test_kk_residual_nan_in_second_line_fails(monkeypatch):

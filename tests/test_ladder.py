@@ -177,35 +177,37 @@ def test_omega_scaling_is_bitwise():
     assert np.array_equal(scaled.time, base.time / 3.0)
 
 
-def _spoiled_letters(spoil):
-    """letter_matrices with spoil(omega, letters) applied to each call's bands."""
-    letter_matrices = qpb.ladder.letter_matrices
+def _spoiled_build(spoil):
+    """build with spoil(omega, energy, time) applied to writable copies of
+    each system's H and T bands."""
+    build = qpb.ladder.build
 
-    def spoiled(n_trunc, hbar_value, omega=1.0):
-        letters = letter_matrices(n_trunc, hbar_value, omega)
-        spoil(omega, letters)
-        return letters
+    def spoiled(n_trunc, omega, hbar):
+        system = build(n_trunc, omega, hbar)
+        energy, time = system.energy.copy(), system.time.copy()
+        spoil(omega, energy, time)
+        return replace(system, energy=energy, time=time)
     return spoiled
 
 
-def _one_ulp_in_energy(omega, letters):
+def _one_ulp_in_energy(omega, energy, time):
     # entry (0, 1) and its mirror (1, 0) at omega 2 only: H stays Hermitian,
     # and only the frequency covariance breaks
     if omega == 2.0:
         for row, col in ((2, 1), (0, 0)):
-            entry = letters["H"][row, col]
-            letters["H"][row, col] = complex(np.nextafter(entry.real, np.inf), entry.imag)
+            entry = energy[row, col]
+            energy[row, col] = complex(np.nextafter(entry.real, np.inf), entry.imag)
 
 
-def _unmirrored_time(omega, letters):
+def _unmirrored_time(omega, energy, time):
     # T[1, 0] set to T[0, 1], not to its conjugate, at every omega: the
     # frequency covariance holds, and only the Hermiticity breaks
-    letters["T"][0, 0] = letters["T"][2, 1]
+    time[0, 0] = time[2, 1]
 
 
 @pytest.mark.parametrize("spoil", [_one_ulp_in_energy, _unmirrored_time])
 def test_scaling_exact_fails_on_a_spoiled_letter(monkeypatch, spoil):
-    monkeypatch.setattr(qpb.ladder, "letter_matrices", _spoiled_letters(spoil))
+    monkeypatch.setattr(qpb.ladder, "build", _spoiled_build(spoil))
     report = scaling_exact_check(N, 1.0)
     assert report.residual == 1.0
     assert report.passed is False

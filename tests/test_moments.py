@@ -9,7 +9,8 @@ from qpb.errors import ConfigurationError
 from qpb.grids import WaveFunction, make_uniform_grid
 from qpb.moments import moments, pair_moments_block, saturation_check, vector_uncertainty_check
 from qpb.operators import momentum_operator, position_operator
-from qpb.states import gaussian, gaussian_3d, oscillator_eigenstate, random_band_limited
+from qpb.states import gaussian, gaussian_3d, oscillator_eigenstate
+from random_states import random_state
 
 # spread(X) = sigma / sqrt(2) and spread(P) = hbar / (sigma sqrt(2)) for a
 # normalized Gaussian; frozen from the closed forms at sigma = 2, hbar = 1
@@ -80,7 +81,7 @@ def test_bound_holds_for_random_states():
     x_op, p_op = _ops(grid)
     rng = np.random.default_rng(23)
     for _ in range(100):
-        psi = random_band_limited(grid, rng)
+        psi = random_state(grid, rng)
         data = pair_moments_block(psi.values, grid, x_op, p_op)
         assert _bound_violation(data) <= 1e-8
         assert data["product"] >= 0.5 - 1e-9
@@ -90,7 +91,7 @@ def test_mean_imaginary_residue_reported_and_small():
     grid = make_uniform_grid(1, 256, 8.0)
     x_op, p_op = _ops(grid)
     rng = np.random.default_rng(29)
-    psi = random_band_limited(grid, rng)
+    psi = random_state(grid, rng)
     for op in (x_op, p_op):
         assert moments(psi, op).mean_imag_residue < 1e-10
 

@@ -18,6 +18,7 @@ from qpb.states import (
     oscillator_eigenstate,
     random_band_limited,
 )
+from random_states import random_state
 
 
 def test_gaussian_normalized_and_centered():
@@ -46,21 +47,20 @@ def test_oscillator_eigenstate_parity():
         assert np.max(np.abs(v[1:] - sign * flipped[:-1])) < 1e-12
 
 
-def _hermval_eigenstate(grid, n, sigma):
+def _hermval_eigenstate(grid, n):
     """oscillator_eigenstate as built through numpy.polynomial's hermval: the
     oracle for the bits of the inlined Clenshaw steps."""
     x = grid.axis_points()
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    h = hermval(x / sigma, coeffs)
-    v = h * np.exp(-(x**2) / (2.0 * sigma**2))
-    v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi) * sigma)
+    v = hermval(x, coeffs) * np.exp(-(x**2) / 2.0)
+    v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
     return normalize(WaveFunction(grid=grid, representation="position", values=v.astype(np.complex128)))
 
 
-def _state_bits(build, grid, n, sigma):
+def _state_bits(build, grid, n):
     try:
-        return build(grid, n, sigma).values.tobytes()
+        return build(grid, n).values.tobytes()
     except ConfigurationError as exc:
         if "cannot normalize a state with zero or non-finite norm" not in str(exc):
             raise
@@ -68,19 +68,21 @@ def _state_bits(build, grid, n, sigma):
 
 
 HERMITE_GRIDS = [64, 256, 1024, 4096]
-HERMITE_SIGMAS = [0.7, 1.0, 1.3]
+HERMITE_SCALES = [0.7, 1.0, 1.3]
 
 
-@pytest.mark.parametrize("sigma", HERMITE_SIGMAS)
+# a grid of half-extent 16 / scale reaches the Hermite arguments that the
+# width sigma = scale reached on a grid of half-extent 16
+@pytest.mark.parametrize("scale", HERMITE_SCALES)
 @pytest.mark.parametrize("n_points", HERMITE_GRIDS)
-def test_oscillator_eigenstate_is_bit_equal_to_hermval(n_points, sigma):
-    grid = make_uniform_grid(1, n_points, 16.0)
+def test_oscillator_eigenstate_is_bit_equal_to_hermval(n_points, scale):
+    grid = make_uniform_grid(1, n_points, 16.0 / scale)
     for n in range(21):
-        got = oscillator_eigenstate(grid, n, sigma).values
-        assert got.tobytes() == _hermval_eigenstate(grid, n, sigma).values.tobytes(), n
+        got = oscillator_eigenstate(grid, n).values
+        assert got.tobytes() == _hermval_eigenstate(grid, n).values.tobytes(), n
 
 
-# at half-extent 1e17, H_n(x / sigma) overflows near the edges for the larger
+# at half-extent 1e17, H_n(x / scale) overflows near the edges for the larger
 # n: inf, and NaN where the Clenshaw steps then subtract or scale infinities.
 # The Gaussian factor underflows off x = 0, so the states are the samples at
 # x = 0 alone, or degenerate where an overflow leaves a non-finite norm.
@@ -90,17 +92,18 @@ def test_hermite_overflows_to_the_same_inf_and_nan_as_hermval():
     seen_inf = seen_nan = False
     for n_points in HERMITE_GRIDS:
         grid = make_uniform_grid(1, n_points, 1e17)
-        for sigma in HERMITE_SIGMAS:
-            x = grid.axis_points() / sigma
+        for scale in HERMITE_SCALES:
+            x = grid.axis_points() / scale
             for n in range(21):
                 coeffs = np.zeros(n + 1)
                 coeffs[n] = 1.0
                 want = hermval(x, coeffs)
-                assert _hermite(x, n).tobytes() == want.tobytes(), (n_points, sigma, n)
+                assert _hermite(x, n).tobytes() == want.tobytes(), (n_points, scale, n)
                 seen_inf |= bool(np.isinf(want).any())
                 seen_nan |= bool(np.isnan(want).any())
-                assert (_state_bits(oscillator_eigenstate, grid, n, sigma)
-                        == _state_bits(_hermval_eigenstate, grid, n, sigma)), (n_points, sigma, n)
+        for n in range(21):
+            assert (_state_bits(oscillator_eigenstate, grid, n)
+                    == _state_bits(_hermval_eigenstate, grid, n)), (n_points, n)
     assert seen_inf and seen_nan
 
 
@@ -135,23 +138,25 @@ def test_gaussian_3d_is_product_of_axes():
 
 def test_random_band_limited_reproducible_and_contained():
     grid = make_uniform_grid(1, 256, 8.0)
-    a = random_band_limited(grid, np.random.default_rng(7))
-    b = random_band_limited(grid, np.random.default_rng(7))
-    assert np.array_equal(a.values, b.values)
-    assert a.norm() == pytest.approx(1.0, abs=1e-12)
-    edge = np.abs(a.values[:4]).max() / np.abs(a.values).max()
-    assert edge < 1e-6
+    a = random_band_limited(grid, np.random.default_rng(7), n_states=3)
+    b = random_band_limited(grid, np.random.default_rng(7), n_states=3)
+    assert np.array_equal(a, b)
+    for row in a:
+        assert WaveFunction(grid=grid, representation="position", values=row).norm() \
+            == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(row[:4]).max() / np.abs(row).max() < 1e-6
 
 
-def _inline_band_limited(grid, rng, n_modes=6, envelope_divisor=8.0):
-    # the per-call construction the memoized basis replaced, kept as reference
+def _inline_band_limited(grid, rng):
+    # the per-call construction the memoized basis replaced, kept as reference:
+    # 13 modes under an envelope of width L/8
     x = grid.axis_points()
     L = grid.half_extent
-    c = rng.normal(size=2 * n_modes + 1) + 1j * rng.normal(size=2 * n_modes + 1)
+    c = rng.normal(size=13) + 1j * rng.normal(size=13)
     modes = np.zeros(grid.n_points, dtype=np.complex128)
-    for j in range(2 * n_modes + 1):
-        modes += c[j] * np.exp(1j * math.pi * (j - n_modes) * x / L)
-    v = np.exp(-(x**2) / (2.0 * (L / envelope_divisor) ** 2)) * modes
+    for j in range(13):
+        modes += c[j] * np.exp(1j * math.pi * (j - 6) * x / L)
+    v = np.exp(-(x**2) / (2.0 * (L / 8.0) ** 2)) * modes
     return normalize(WaveFunction(grid=grid, representation="position", values=v))
 
 
@@ -161,10 +166,10 @@ def test_random_band_limited_bit_equal_to_inline_construction():
     for seed, grid in enumerate((grid_a, grid_b, grid_a)):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            got = random_band_limited(grid, fast)
+            got = random_state(grid, fast)
             assert got.grid == grid
             assert np.array_equal(got.values, _inline_band_limited(grid, slow).values)
-    waves, envelope = _band_basis(grid_a, 6, 8.0)
+    waves, envelope = _band_basis(grid_a)
     assert not waves.flags.writeable and not envelope.flags.writeable
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from dense_letters import dense_letters, dense_of_band, dense_realize, on_matrix, same_band_bits
 from qpb.errors import ConfigurationError
+from qpb.ladder import build
 from qpb.symbolic.matrices import _letter_bands, _word_band
 from qpb.symbolic import (
     OperatorPoly,
@@ -21,14 +22,21 @@ N = 32
 EPS = np.finfo(np.float64).eps
 
 
-def realized(p, n_trunc, hbar_value, omega=1.0):
+def realized(p, n_trunc, hbar_value):
     """matrix_realize's band scattered to its dense matrix."""
-    return dense_of_band(matrix_realize(p, n_trunc, hbar_value, omega))
+    return dense_of_band(matrix_realize(p, n_trunc, hbar_value))
 
 
-def realized_letters(n_trunc, hbar_value, omega=1.0):
-    return {name: realized(OperatorPoly.letter(name), n_trunc, hbar_value, omega)
-            for name in ("X", "P", "H", "T")}
+def realized_letters(n_trunc, hbar_value):
+    return {name: realized(OperatorPoly.letter(name), n_trunc, hbar_value)
+            for name in ("X", "P")}
+
+
+def draw(rng, letters, max_degree, n_terms):
+    """random_operator_poly's next draw, whose words use only `letters`."""
+    p = random_operator_poly(rng, max_degree=max_degree, n_terms=n_terms)
+    assert {letter for word, _ in p.terms() for letter in word} <= set(letters)
+    return p
 
 
 def test_lowering_matrix_entries():
@@ -45,15 +53,14 @@ def test_lowering_matrix_needs_two_levels():
 
 
 def test_letter_matrices_hermitian_and_scaled():
-    bands = letter_matrices(N, hbar_value=0.7, omega=2.0)
-    assert set(bands) == {"b", "X", "P", "H", "T"}
-    for name in ("X", "P", "H", "T"):
+    bands = letter_matrices(N, hbar_value=0.7)
+    assert set(bands) == {"b", "X", "P"}
+    for name in ("X", "P"):
         assert bands[name].shape == (3, N)
         # Hermitian: L[j+1, j] = conj(L[j, j+1])
         assert np.max(np.abs(band_adjoint(bands[name]) - bands[name])) < 1e-14
-    # the energy letter groups its scalars so omega scaling is bitwise exact
-    assert np.array_equal(letter_matrices(N, 0.7, omega=3.0)["H"],
-                          3.0 * (letter_matrices(N, 0.7, omega=1.0)["H"]))
+        # both letters carry sqrt(hbar / 2), and sqrt(4 x) = 2 sqrt(x) exactly
+        assert np.array_equal(letter_matrices(N, 2.8)[name], 2.0 * bands[name])
 
 
 def test_canonical_commutator_defect_is_confined_to_corner():
@@ -121,8 +128,10 @@ def test_symbolic_commutator_matches_matrix_commutator():
 
 
 def test_ht_register_realization():
-    mats = realized_letters(N, hbar_value=1.0, omega=2.0)
-    comm = mats["H"] @ mats["T"] - mats["T"] @ mats["H"]
+    # the energy-time pair is realized by ladder.build, not by the letters
+    system = build(N, omega=2.0, hbar=1.0)
+    h, t = dense_of_band(system.energy), dense_of_band(system.time)
+    comm = h @ t - t @ h
     s = protected_slice(N, 2)
     assert np.max(np.abs(comm[s, s] - 1j * np.eye(N)[s, s])) < 1e-13
 
@@ -136,35 +145,34 @@ def test_protected_slice_validation():
 
 
 @pytest.mark.parametrize("n_trunc", [9, 64, 96])
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_matrix_realize_matches_dense_word_products(n_trunc, register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_matrix_realize_matches_dense_word_products(n_trunc, letters):
     rng = np.random.default_rng(41)
     eps = np.finfo(np.float64).eps
     for _ in range(25):
-        p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
-        ref, magnitude = dense_realize(p, n_trunc, 0.7, 1.5)
-        got = realized(p, n_trunc, 0.7, omega=1.5)
+        p = draw(rng, letters, max_degree=8, n_terms=4)
+        ref, magnitude = dense_realize(p, n_trunc, 0.7)
+        got = realized(p, n_trunc, 0.7)
         bound = 8 * max(p.total_degree(), 1) * eps * (1.0 + float(np.max(magnitude)))
         assert np.max(np.abs(got - ref)) <= bound
 
 
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_realization_is_exact_unless_row_and_column_both_leave_the_protected_block(register):
+def test_realization_is_exact_unless_row_and_column_both_leave_the_protected_block():
     """Against a larger truncation, whose upper-left block holds the exact
     entries: the protected rows and the protected columns agree bit for bit,
     and every entry that differs has i + j >= 2 n_trunc - degree."""
     rng = np.random.default_rng(47)
     for n_trunc in (9, 16, 33):
         for _ in range(20):
-            a = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
-            b = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+            a = random_operator_poly(rng, max_degree=4, n_terms=3)
+            b = random_operator_poly(rng, max_degree=4, n_terms=3)
             for p in (a, commutator_poly(a, b)):
                 k = max(p.total_degree(), 1)
                 if k >= n_trunc:
                     continue
                 s = protected_slice(n_trunc, k)
-                small = realized(p, n_trunc, 0.7, 1.5)
-                exact = realized(p, n_trunc + 2 * k, 0.7, 1.5)[:n_trunc, :n_trunc]
+                small = realized(p, n_trunc, 0.7)
+                exact = realized(p, n_trunc + 2 * k, 0.7)[:n_trunc, :n_trunc]
                 assert np.array_equal(small[s, :], exact[s, :])
                 assert np.array_equal(small[:, s], exact[:, s])
                 i, j = np.nonzero(small != exact)
@@ -173,21 +181,22 @@ def test_realization_is_exact_unless_row_and_column_both_leave_the_protected_blo
 
 def test_letter_bands_follow_hbar_and_are_read_only():
     for hbar_value in (0.5, 2.0, 0.5):
-        bands = _letter_bands(16, hbar_value, 1.0)
-        for name, m in dense_letters(16, hbar_value, 1.0).items():
-            assert same_band_bits(bands[name], m)
-            assert not bands[name].flags.writeable
+        bands = _letter_bands(16, hbar_value)
+        letters = dense_letters(16, hbar_value)
+        for name, band in bands.items():
+            assert same_band_bits(band, letters[name])
+            assert not band.flags.writeable
             with pytest.raises(ValueError):
-                bands[name][2, 1] = 0.0
+                band[2, 1] = 0.0
 
 
-def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
+def per_word_band_realize(p, n_trunc, hbar_value):
     """Each word multiplied out from the identity in a (2k+1)-row band, k the
     total degree, by two shifted slice updates per letter (its superdiagonal
     L[j-1, j] and subdiagonal L[j+1, j]), and weighted into the band total in
     term order: the loop the memoized word bands replaced, kept as a
     bit-level reference."""
-    letters = _letter_bands(n_trunc, hbar_value, omega)
+    letters = _letter_bands(n_trunc, hbar_value)
     k = p.total_degree()
     total = np.zeros((2 * k + 1, n_trunc), dtype=np.complex128)
     for word, coeff in p.terms():
@@ -204,16 +213,16 @@ def per_word_band_realize(p, n_trunc, hbar_value, omega=1.0):
 
 
 @pytest.mark.parametrize("n_trunc", [9, 64, 96])
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_matrix_realize_bit_equal_to_per_word_band_loop(n_trunc, register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_matrix_realize_bit_equal_to_per_word_band_loop(n_trunc, letters):
     rng = np.random.default_rng(43)
-    for hbar_value, omega in ((1.0, 1.0), (0.3, 2.5)):
+    for hbar_value in (1.0, 0.3):
         for _ in range(25):
-            a = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
-            b = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
+            a = draw(rng, letters, max_degree=4, n_terms=3)
+            b = draw(rng, letters, max_degree=4, n_terms=3)
             for p in (a, commutator_poly(a, b), (a * b).normal_form()):
-                got = matrix_realize(p, n_trunc, hbar_value, omega)
-                ref = per_word_band_realize(p, n_trunc, hbar_value, omega)
+                got = matrix_realize(p, n_trunc, hbar_value)
+                ref = per_word_band_realize(p, n_trunc, hbar_value)
                 # raw bits, so even the signs of zeros agree
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
@@ -229,12 +238,12 @@ def test_matrix_realize_cold_and_warm_calls_agree():
     _word_band.cache_clear()
 
 
-def test_word_bands_follow_hbar_and_omega_and_are_read_only():
-    words = [(), ("X",), ("P", "X", "P"), ("X", "X", "P", "P"), ("H", "T", "T"), ("T", "H")]
-    for hbar_value, omega in ((0.5, 1.0), (2.0, 3.0), (0.5, 1.0)):
-        mats = dense_letters(16, hbar_value, omega)
+def test_word_bands_follow_hbar_and_are_read_only():
+    words = [(), ("X",), ("P", "X", "P"), ("X", "X", "P", "P"), ("X", "P", "P"), ("P", "X")]
+    for hbar_value in (0.5, 2.0, 0.5):
+        mats = dense_letters(16, hbar_value)
         for word in words:
-            band = _word_band(word, 16, hbar_value, omega)
+            band = _word_band(word, 16, hbar_value)
             dense = np.eye(16, dtype=np.complex128)
             for letter in word:
                 dense = dense @ mats[letter]
@@ -255,16 +264,16 @@ def test_word_bands_follow_hbar_and_omega_and_are_read_only():
 
 
 @pytest.mark.parametrize("n_trunc", [3, 9, 64])
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_band_product_matches_the_dense_truncated_product(n_trunc, register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_band_product_matches_the_dense_truncated_product(n_trunc, letters):
     """Within the rounding bound of the dense product, and with every entry
     off the matrix exactly zero; n_trunc 3 has products wider than the
     matrix."""
     rng = np.random.default_rng(53)
     for _ in range(20):
-        a = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
-        b = random_operator_poly(rng, max_degree=4, n_terms=3, register=register)
-        m_a, m_b = matrix_realize(a, n_trunc, 0.7, 1.5), matrix_realize(b, n_trunc, 0.7, 1.5)
+        a = draw(rng, letters, max_degree=4, n_terms=3)
+        b = draw(rng, letters, max_degree=4, n_terms=3)
+        m_a, m_b = matrix_realize(a, n_trunc, 0.7), matrix_realize(b, n_trunc, 0.7)
         got = band_product(m_a, m_b)
         assert got.shape == (2 * (len(m_a) // 2 + len(m_b) // 2) + 1, n_trunc)
         d_a, d_b = dense_of_band(m_a), dense_of_band(m_b)

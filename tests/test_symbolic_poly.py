@@ -22,7 +22,14 @@ from qpb.symbolic.poly import _ordering
 X = OperatorPoly.letter("X")
 P = OperatorPoly.letter("P")
 I_HBAR = OperatorPoly.scalar(HbarPoly.term(GaussianRational.of(0, 1), 1))
-ORDER = {"X": 0, "P": 1, "H": 0, "T": 1}
+ORDER = {"X": 0, "P": 1}
+
+
+def draw(rng, letters, max_degree, n_terms):
+    """random_operator_poly's next draw, whose words use only `letters`."""
+    p = random_operator_poly(rng, max_degree=max_degree, n_terms=n_terms)
+    assert {letter for word, _ in p.terms() for letter in word} <= set(letters)
+    return p
 
 
 def weyl_symmetrize_recursive(word: tuple[str, ...]) -> OperatorPoly:
@@ -78,7 +85,6 @@ def rational_table_normal_form(p: OperatorPoly) -> dict:
             table[key] = s
 
     out: dict = {}
-    first, second = p.register or "XP"
     for word, coeff in p.terms():
         table = {(0, 0): coeff}
         for letter in word:
@@ -94,7 +100,7 @@ def rational_table_normal_form(p: OperatorPoly) -> dict:
                         {d + 1: GaussianRational(j * g.im, -j * g.re) for d, g in c.items()}))
             table = step
         for (i, j), c in table.items():
-            add(out, (first,) * i + (second,) * j, c)
+            add(out, ("X",) * i + ("P",) * j, c)
     return out
 
 
@@ -103,21 +109,20 @@ def ordered(terms) -> list:
     return [(word, list(coeff.items())) for word, coeff in terms]
 
 
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_normal_form_equals_rational_table_reading_in_order(register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_normal_form_equals_rational_table_reading_in_order(letters):
     rng = np.random.default_rng(33)
     for _ in range(200):
-        p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
+        p = draw(rng, letters, max_degree=8, n_terms=4)
         assert ordered(p.normal_form().terms()) == ordered(rational_table_normal_form(p).items())
 
 
 def fraction_built_draw(rng: np.random.Generator, max_degree: int, n_terms: int,
-                        register: str) -> OperatorPoly:
+                        letters: str) -> OperatorPoly:
     """random_operator_poly's draws (one call for every term's five integer
     fields, one for all the letters), with each coefficient built from two
     Fractions and the terms summed through the public OperatorPoly +, kept as
     the reference for its integer arithmetic."""
-    letters = tuple(register)
     fields = rng.integers([0, -6, 1, -3, 0], [max_degree + 1, 7, 5, 4, 2], size=(n_terms, 5))
     picks = iter(rng.integers(0, 2, size=int(fields[:, 0].sum())))
     total = OperatorPoly.zero()
@@ -128,21 +133,20 @@ def fraction_built_draw(rng: np.random.Generator, max_degree: int, n_terms: int,
     return total
 
 
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_random_operator_poly_equals_the_fraction_built_draws(register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_random_operator_poly_equals_the_fraction_built_draws(letters):
     for seed in range(10):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
-            p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
-            q = fraction_built_draw(reference, max_degree=8, n_terms=4, register=register)
+            p = draw(rng, letters, max_degree=8, n_terms=4)
+            q = fraction_built_draw(reference, max_degree=8, n_terms=4, letters=letters)
             assert ordered(p.terms()) == ordered(q.terms())
-            assert p.register == q.register
         # the same generator calls, so every later draw is unchanged too
         assert rng.integers(1 << 62) == reference.integers(1 << 62)
 
 
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_commutator_equals_the_normal_form_of_the_products(register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_commutator_equals_the_normal_form_of_the_products(letters):
     """Exact coefficients against (a b - b a).normal_form(), the route through
     product polynomials. The term order follows from the inputs alone: a cold
     and a warm cache give the same terms in the same order."""
@@ -152,12 +156,11 @@ def test_commutator_equals_the_normal_form_of_the_products(register):
         rng = np.random.default_rng(41)
         run = []
         for _ in range(100):
-            a = random_operator_poly(rng, max_degree=8, n_terms=3, register=register)
-            b = random_operator_poly(rng, max_degree=8, n_terms=3, register=register)
+            a = draw(rng, letters, max_degree=8, n_terms=3)
+            b = draw(rng, letters, max_degree=8, n_terms=3)
             c = commutator_poly(a, b)
             via_products = (a * b - b * a).normal_form()
             assert dict(c.terms()) == dict(via_products.terms())
-            assert c.register == via_products.register
             assert c.normal_form() is c
             run.append(ordered(c.terms()))
         runs.append(run)
@@ -188,13 +191,6 @@ def test_normal_form_is_kept_and_is_its_own():
     assert nf.normal_form() is nf
     c = commutator_poly(X * X, P)
     assert c.normal_form() is c
-
-
-def test_results_that_cancel_to_scalars_drop_the_register():
-    H = OperatorPoly.letter("H")
-    for p in (X - X, X * X - X * X + OperatorPoly.one(), (X * P - P * X).normal_form()):
-        assert p.register is None
-        assert (p + H).register == "HT"
 
 
 def test_equal_polys_built_in_different_orders_hash_equal():
@@ -325,11 +321,11 @@ def test_normal_form_degree_three_identity():
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("register", ["XP", "HT"])
-def test_normal_form_equals_one_swap_rewrite(register):
+@pytest.mark.parametrize("letters", ["XP"])
+def test_normal_form_equals_one_swap_rewrite(letters):
     rng = np.random.default_rng(31)
     for _ in range(300):
-        p = random_operator_poly(rng, max_degree=8, n_terms=4, register=register)
+        p = draw(rng, letters, max_degree=8, n_terms=4)
         assert dict(p.normal_form().terms()) == one_swap_normal_form(p)
 
 
@@ -425,19 +421,14 @@ def test_taylor_operator_validates_table():
         taylor_operator({(7, 7): 1})
 
 
-def test_register_mixing_rejected():
-    H = OperatorPoly.letter("H")
-    with pytest.raises(ConfigurationError, match="cannot combine XP and HT register"):
-        _ = X * H
-    with pytest.raises(ConfigurationError, match="cannot combine XP and HT register"):
-        _ = X + H
-
-
-def test_ht_register_has_same_algebra():
-    H = OperatorPoly.letter("H")
-    T = OperatorPoly.letter("T")
-    assert commutator_poly(H, T) == I_HBAR
-    assert weyl_symmetrize(("H", "T")) == (H * T + T * H).scale(Fraction(1, 2))
+def test_letters_other_than_x_and_p_rejected():
+    # X and P are the only letters: an energy or time letter beside them is
+    # rejected where the word is built
+    for word in (("X", "H"), ("T", "P")):
+        with pytest.raises(ConfigurationError, match="unknown operator letter"):
+            OperatorPoly.monomial(word)
+        with pytest.raises(ConfigurationError, match="unknown operator letter"):
+            weyl_symmetrize(word)
 
 
 def test_adjoint_reverses_and_conjugates():

@@ -9,8 +9,9 @@ from qpb import transforms
 from qpb.errors import ConfigurationError
 from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid
 from qpb.report import CHECKS, make_report
-from qpb.states import conjugate_gaussian_pair, gaussian, random_band_limited
+from qpb.states import conjugate_gaussian_pair, gaussian
 from qpb.transforms import parseval_block, reciprocal_grid, to_momentum, to_position
+from random_states import random_state
 
 # |<g_0|g_c>| for two normalized unit-sigma Gaussians a distance c apart is
 # exp(-c^2 / (4 sigma^2)); for c=4, sigma=1 that is exp(-4), frozen here from
@@ -50,8 +51,8 @@ def test_round_trip_identity_on_gaussian():
 def test_transform_is_unitary_on_inner_products():
     grid = _grid()
     rng = np.random.default_rng(11)
-    a = random_band_limited(grid, rng)
-    b = random_band_limited(grid, rng)
+    a = random_state(grid, rng)
+    b = random_state(grid, rng)
     fa, fb = to_momentum(a), to_momentum(b)
     assert _inner(fa, fb) == pytest.approx(_inner(a, b), abs=1e-13)
 
@@ -81,7 +82,7 @@ def test_translated_gaussian_overlap_matches_frozen_oracle():
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_round_trip_property_random_band_limited(seed):
     grid = _grid(128, 8.0)
-    psi = random_band_limited(grid, np.random.default_rng(seed))
+    psi = random_state(grid, np.random.default_rng(seed))
     back = to_position(to_momentum(psi))
     assert np.max(np.abs(back.values - psi.values)) < 1e-12
 
