@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigurationError
+from .record import Record
 
 REPRESENTATIONS = ("position", "momentum")
 # Relative tolerance to which `UniformGrid.compatible` compares extent and hbar
@@ -33,8 +32,7 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class UniformGrid:
+class UniformGrid(Record):
     """Centered uniform grid, 1D or 3D cubic, carrying the value of hbar.
 
     Attributes:
@@ -44,20 +42,18 @@ class UniformGrid:
         hbar: positive scale constant shared by every object built on the grid.
     """
 
-    dim: int
-    n_points: int
-    half_extent: float
-    hbar: float = 1.0
+    __slots__ = ("dim", "n_points", "half_extent", "hbar")
 
-    def __post_init__(self):
-        if self.dim not in (1, 3):
-            raise ConfigurationError(f"dim must be 1 or 3, got {self.dim}")
-        if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points) or self.n_points < 8:
-            raise ConfigurationError(f"n_points must be a power of two >= 8, got {self.n_points}")
-        if not (self.half_extent > 0 and math.isfinite(self.half_extent)):
-            raise ConfigurationError(f"half_extent must be positive and finite, got {self.half_extent}")
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ConfigurationError(f"hbar must be positive and finite, got {self.hbar}")
+    def __init__(self, dim: int, n_points: int, half_extent: float, hbar: float = 1.0):
+        if dim not in (1, 3):
+            raise ConfigurationError(f"dim must be 1 or 3, got {dim}")
+        if not isinstance(n_points, int) or not _is_power_of_two(n_points) or n_points < 8:
+            raise ConfigurationError(f"n_points must be a power of two >= 8, got {n_points}")
+        if not (half_extent > 0 and math.isfinite(half_extent)):
+            raise ConfigurationError(f"half_extent must be positive and finite, got {half_extent}")
+        if not (hbar > 0 and math.isfinite(hbar)):
+            raise ConfigurationError(f"hbar must be positive and finite, got {hbar}")
+        self._set(dim=dim, n_points=n_points, half_extent=half_extent, hbar=hbar)
 
     @property
     def spacing(self) -> float:
@@ -104,15 +100,18 @@ def make_uniform_grid(dim: int, n_points: int, half_extent: float, hbar: float =
     return UniformGrid(dim=dim, n_points=int(n_points), half_extent=float(half_extent), hbar=float(hbar))
 
 
-@dataclass(frozen=True)
-class WaveFunction:
+class WaveFunction(Record):
     """Complex samples on a UniformGrid, tagged with their representation."""
 
-    grid: UniformGrid
-    representation: str
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("grid", "representation", "values", "_norm")
+
+    def __init__(self, grid: UniformGrid, representation: str, values: np.ndarray):
+        self._set(grid=grid, representation=representation, values=values)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Copy the values, then check and keep them. A method of its own so
+        that bench/tracer.py can count constructs by wrapping it."""
         self._keep(np.asarray(self.values, dtype=np.complex128).copy())
 
     def _keep(self, v: np.ndarray) -> None:
@@ -126,7 +125,7 @@ class WaveFunction:
             raise ConfigurationError(
                 f"values of shape {v.shape} and dtype {v.dtype} do not fit grid shape {self.grid.shape}")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        self._set(values=v)
 
     def with_values(self, values: np.ndarray) -> "WaveFunction":
         """A copy of `values` on this state's grid and representation."""
@@ -138,8 +137,7 @@ class WaveFunction:
         caller has just computed and holds no other reference to; the
         checks still run."""
         psi = object.__new__(WaveFunction)
-        object.__setattr__(psi, "grid", grid)
-        object.__setattr__(psi, "representation", representation)
+        psi._set(grid=grid, representation=representation)
         psi._keep(values)
         return psi
 
@@ -149,8 +147,8 @@ class WaveFunction:
 
     def norm(self) -> float:
         """The norm, computed on the first call and kept: the values are read-only."""
-        if "_norm" not in self.__dict__:
-            object.__setattr__(self, "_norm", float(norm_block(self.values, self.grid)))
+        if not hasattr(self, "_norm"):
+            self._set(_norm=float(norm_block(self.values, self.grid)))
         return self._norm
 
 

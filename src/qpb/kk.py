@@ -21,12 +21,12 @@ quantities and record the adjustment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grids import BOUNDARY_CELLS, UniformGrid
+from .record import Record
 from .report import CheckReport, make_report, worst
 
 # Relative boundary amplitude above which the circular transform is meaningless.
@@ -149,26 +149,23 @@ def pv_quadrature_all(samples: np.ndarray, grid: UniformGrid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AnalyticSignal:
+class AnalyticSignal(Record):
     """Complex samples declared analytic in one half-plane; `kk_residual`
     measures how far they are from the declared dispersion pair."""
 
-    grid: UniformGrid
-    values: np.ndarray = field(repr=False)
-    analyticity_half_plane: str = "lower"
+    __slots__ = ("grid", "values", "analyticity_half_plane")
 
-    def __post_init__(self):
-        if self.grid.dim != 1:
+    def __init__(self, grid: UniformGrid, values: np.ndarray, analyticity_half_plane: str = "lower"):
+        if grid.dim != 1:
             raise ConfigurationError("AnalyticSignal is 1D")
-        if self.analyticity_half_plane not in ("upper", "lower"):
+        if analyticity_half_plane not in ("upper", "lower"):
             raise ConfigurationError("analyticity_half_plane must be 'upper' or 'lower'")
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
+        v = np.asarray(values, dtype=np.complex128)
+        if v.shape != grid.shape:
             raise ConfigurationError("sample shape does not match grid")
         v = v.copy()
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        self._set(grid=grid, values=v, analyticity_half_plane=analyticity_half_plane)
 
 
 def kk_residual(f: AnalyticSignal) -> CheckReport:

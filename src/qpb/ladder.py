@@ -22,11 +22,10 @@ loudly at the corner, which is recorded rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigurationError
+from .record import Record
 from .report import CheckReport, make_report, worst
 from .symbolic import band_adjoint, band_product, letter_matrices, protected_defect
 
@@ -36,28 +35,25 @@ M_MAX = 4
 SCALING_OMEGAS = (0.5, 2.0, 3.0)
 
 
-@dataclass(frozen=True)
-class LadderSystem:
+class LadderSystem(Record):
     """b, H and T as (3, n_trunc) bands and the number operator as a
     (1, n_trunc) band, in the band storage of qpb.symbolic.matrices, each a
     read-only complex copy."""
 
-    n_trunc: int
-    omega: float
-    hbar: float
-    lowering: np.ndarray = field(repr=False)
-    energy: np.ndarray = field(repr=False)
-    time: np.ndarray = field(repr=False)
-    number: np.ndarray = field(repr=False)
+    __slots__ = ("n_trunc", "omega", "hbar", "lowering", "energy", "time", "number")
 
-    def __post_init__(self):
-        for name, rows in (("lowering", 3), ("energy", 3), ("time", 3), ("number", 1)):
-            array = np.asarray(getattr(self, name), dtype=np.complex128).copy()
-            if array.shape != (rows, self.n_trunc):
+    def __init__(self, n_trunc: int, omega: float, hbar: float, lowering: np.ndarray,
+                 energy: np.ndarray, time: np.ndarray, number: np.ndarray):
+        bands = {}
+        for name, rows, band in (("lowering", 3, lowering), ("energy", 3, energy),
+                                 ("time", 3, time), ("number", 1, number)):
+            array = np.asarray(band, dtype=np.complex128).copy()
+            if array.shape != (rows, n_trunc):
                 raise ConfigurationError(f"LadderSystem.{name} must have shape "
-                                         f"{(rows, self.n_trunc)}, got {array.shape}")
+                                         f"{(rows, n_trunc)}, got {array.shape}")
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            bands[name] = array
+        self._set(n_trunc=n_trunc, omega=omega, hbar=hbar, **bands)
 
 
 def _relation_defect(a: np.ndarray, b: np.ndarray, relation: np.ndarray,

@@ -12,8 +12,6 @@ non-real expectation. `saturation_check` calls it with a single state, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -25,21 +23,21 @@ from .operators import (
     momentum_operator,
     position_operator,
 )
+from .record import Record
 from .report import CheckReport, make_report, worst
 
 HERMITICITY_SLACK = 1e-10
 NOT_NORMALIZED = "moments are defined for normalized states"
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(Record):
     """Moments of one operator: floats for a state, arrays (one entry per
     state) inside the block kernel."""
 
-    mean: float
-    second: float
-    spread: float
-    mean_imag_residue: float
+    __slots__ = ("mean", "second", "spread", "mean_imag_residue")
+
+    def __init__(self, mean: float, second: float, spread: float, mean_imag_residue: float):
+        self._set(mean=mean, second=second, spread=spread, mean_imag_residue=mean_imag_residue)
 
 
 def _moments_of(values: np.ndarray, a_values: np.ndarray, grid: UniformGrid) -> Moments:

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grids import UniformGrid, WaveFunction, boundary_mass, require_normalized, row_dots, slabs, sum_row_dots
+from .record import Record
 from .report import CheckReport, make_report, worst
 from .transforms import reciprocal_grid, transform_block
 
@@ -57,17 +57,15 @@ BOUNDARY_MASS_LIMIT = 1e-6
 INTERIOR_MASK_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
-class GridOperator:
-    kind: str
-    axis: int
-    grid: UniformGrid
+class GridOperator(Record):
+    __slots__ = ("kind", "axis", "grid")
 
-    def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ConfigurationError(f"unknown operator kind {self.kind!r}")
-        if not 0 <= self.axis < self.grid.dim:
-            raise ConfigurationError(f"axis {self.axis} out of range for dim {self.grid.dim}")
+    def __init__(self, kind: str, axis: int, grid: UniformGrid):
+        if kind not in OPERATOR_KINDS:
+            raise ConfigurationError(f"unknown operator kind {kind!r}")
+        if not 0 <= axis < grid.dim:
+            raise ConfigurationError(f"axis {axis} out of range for dim {grid.dim}")
+        self._set(kind=kind, axis=axis, grid=grid)
 
 
 def position_operator(grid: UniformGrid, axis: int = 0) -> GridOperator:

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Check:
+
+class Check(Record):
     """A registered check: its citation and its default tolerance."""
 
-    paper_ref: str
-    tolerance: float
+    __slots__ = ("paper_ref", "tolerance")
+
+    def __init__(self, paper_ref: str, tolerance: float):
+        self._set(paper_ref=paper_ref, tolerance=tolerance)
 
 
 # Every check id qpb reports, with the paper step it certifies and the
@@ -67,8 +69,7 @@ CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """One named residual with its citation tag, tolerance, and verdict.
 
     `paper_ref` is a machine-readable citation string identifying the derivation
@@ -81,12 +82,12 @@ class CheckReport:
     plain JSON-serializable values.
     """
 
-    check_id: str
-    paper_ref: str
-    residual: float
-    tolerance: float
-    valid: bool = True
-    context: dict = field(default_factory=dict)
+    __slots__ = ("check_id", "paper_ref", "residual", "tolerance", "valid", "context")
+
+    def __init__(self, check_id: str, paper_ref: str, residual: float, tolerance: float,
+                 valid: bool = True, context: dict | None = None):
+        self._set(check_id=check_id, paper_ref=paper_ref, residual=residual,
+                  tolerance=tolerance, valid=valid, context={} if context is None else context)
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,6 @@ selected suite. 3D checks keep fixed sizes for runtime predictability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -45,6 +44,7 @@ from .operators import (
     poisson_residual,
     position_operator,
 )
+from .record import Record
 from .report import CHECKS, CheckReport, make_report, worst
 from .states import (
     conjugate_gaussian_pair,
@@ -98,47 +98,44 @@ MAX_N_TRUNC = math.isqrt(MEMORY_BUDGET_BYTES // 16)
 MAX_N_POINTS = MEMORY_BUDGET_BYTES // (64 * 16)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suite: str = "all"
-    n_points: int | None = None
-    half_extent: float | None = None
-    hbar: float = 1.0
-    n_trunc: int = 64
-    omega: float = 1.0
-    seed: int = 0
-    tolerances: Mapping[str, float] = field(default_factory=dict)
+class SuiteConfig(Record):
+    __slots__ = ("suite", "n_points", "half_extent", "hbar", "n_trunc", "omega", "seed",
+                 "tolerances")
 
-    def __post_init__(self):
-        if self.suite not in SUITE_NAMES:
+    def __init__(self, suite: str = "all", n_points: int | None = None,
+                 half_extent: float | None = None, hbar: float = 1.0, n_trunc: int = 64,
+                 omega: float = 1.0, seed: int = 0, tolerances: Mapping[str, float] | None = None):
+        if suite not in SUITE_NAMES:
             raise ConfigurationError(
-                f"unknown suite {self.suite!r}; choose one of {', '.join(SUITE_NAMES)}")
-        for name in ("hbar", "omega", "half_extent"):
-            value = getattr(self, name)
+                f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")
+        for name, value in (("hbar", hbar), ("omega", omega), ("half_extent", half_extent)):
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-        if self.n_trunc < 8:
+        if n_trunc < 8:
             raise ConfigurationError("n_trunc below 8 leaves no protected block to check")
-        if self.suite in ("weyl", "all") and self.n_trunc < WEYL_MIN_N_TRUNC:
+        if suite in ("weyl", "all") and n_trunc < WEYL_MIN_N_TRUNC:
             raise ConfigurationError(f"weyl needs n_trunc >= {WEYL_MIN_N_TRUNC} for its "
                                      f"products of two degree-{ORACLE_TERM_DEGREE} draws")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {seed}")
         budget = f"the {MEMORY_BUDGET_BYTES // 2**20} MiB memory budget"
-        if self.n_trunc > MAX_N_TRUNC:
-            raise ResourceBoundError(f"n_trunc {self.n_trunc} exceeds {MAX_N_TRUNC}, "
+        if n_trunc > MAX_N_TRUNC:
+            raise ResourceBoundError(f"n_trunc {n_trunc} exceeds {MAX_N_TRUNC}, "
                                      f"the largest dense matrix within {budget}")
-        if self.n_points is not None and self.n_points > MAX_N_POINTS:
-            raise ResourceBoundError(f"n_points {self.n_points} exceeds {MAX_N_POINTS}, "
+        if n_points is not None and n_points > MAX_N_POINTS:
+            raise ResourceBoundError(f"n_points {n_points} exceeds {MAX_N_POINTS}, "
                                      f"the largest grid within {budget}")
-        unknown = set(self.tolerances) - set(CHECKS)
+        tolerances = {} if tolerances is None else tolerances
+        unknown = set(tolerances) - set(CHECKS)
         if unknown:
             raise ConfigurationError(
                 f"tolerance overrides for unknown checks: {', '.join(sorted(unknown))}")
-        for key, value in self.tolerances.items():
+        for key, value in tolerances.items():
             if not (value >= 0 and math.isfinite(value)):
                 raise ConfigurationError(
                     f"tolerance for {key} must be nonnegative and finite, got {value}")
+        self._set(suite=suite, n_points=n_points, half_extent=half_extent, hbar=hbar,
+                  n_trunc=n_trunc, omega=omega, seed=seed, tolerances=tolerances)
 
     def grid_1d(self, section: str) -> tuple[int, float]:
         n_default, half_default = _GRID_DEFAULTS.get(section, _GRID_FALLBACK)
@@ -492,5 +489,6 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
         except ArithmeticError as exc:
             raise ConfigurationError(
                 f"{name}: {_float_error(exc)}; the configuration leaves the float range") from exc
-    return sorted((replace(r, tolerance=config.tol(r.check_id)) for r in reports),
+    return sorted((CheckReport(r.check_id, r.paper_ref, r.residual, config.tol(r.check_id),
+                               r.valid, r.context) for r in reports),
                   key=lambda r: r.check_id)

@@ -21,82 +21,85 @@ reproduces the tree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from ..errors import ConfigurationError, ExprSyntaxError
+from ..record import Record
 from .coeffs import GaussianRational, HbarPoly
 from .poly import OperatorPoly, commutator_poly, weyl_symmetrize
-
-Node = Union["Sym", "Scalar", "Sum", "Prod", "Pow", "Comm", "WeylS"]
 
 _LETTERS = ("X", "P")
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Node(Record):
+    """The base of the seven expression node classes below."""
 
-    def __post_init__(self):
-        if self.name not in _LETTERS:
-            raise ConfigurationError(f"unknown symbol {self.name!r}")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scalar:
-    frac: Fraction = Fraction(1)
-    imag: bool = False
-    hbar_pow: int = 0
+class Sym(Node):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.frac < 0:
+    def __init__(self, name: str):
+        if name not in _LETTERS:
+            raise ConfigurationError(f"unknown symbol {name!r}")
+        self._set(name=name)
+
+
+class Scalar(Node):
+    __slots__ = ("frac", "imag", "hbar_pow")
+
+    def __init__(self, frac: Fraction = Fraction(1), imag: bool = False, hbar_pow: int = 0):
+        if frac < 0:
             raise ConfigurationError("scalar literals are nonnegative; negation lives in sums")
-        if self.hbar_pow < 0:
+        if hbar_pow < 0:
             raise ConfigurationError("hbar exponent must be nonnegative")
+        self._set(frac=frac, imag=imag, hbar_pow=hbar_pow)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple[tuple[int, Node], ...]
+class Sum(Node):
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if len(self.terms) < 2:
+    def __init__(self, terms: tuple[tuple[int, Node], ...]):
+        if len(terms) < 2:
             raise ConfigurationError("a sum needs at least two terms")
-        if self.terms[0][0] != 1:
+        if terms[0][0] != 1:
             raise ConfigurationError("the first term of a sum is unsigned")
-        if any(sign not in (1, -1) for sign, _ in self.terms):
+        if any(sign not in (1, -1) for sign, _ in terms):
             raise ConfigurationError("term signs must be +1 or -1")
+        self._set(terms=terms)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple[Node, ...]
+class Prod(Node):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors: tuple[Node, ...]):
+        if len(factors) < 2:
             raise ConfigurationError("a product needs at least two factors")
+        self._set(factors=factors)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: Node
-    exp: int
+class Pow(Node):
+    __slots__ = ("base", "exp")
 
-    def __post_init__(self):
-        if self.exp < 0:
+    def __init__(self, base: Node, exp: int):
+        if exp < 0:
             raise ConfigurationError("exponents are nonnegative integers")
+        self._set(base=base, exp=exp)
 
 
-@dataclass(frozen=True)
-class Comm:
-    lhs: Node
-    rhs: Node
+class Comm(Node):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Node, rhs: Node):
+        self._set(lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class WeylS:
-    inner: Node
+class WeylS(Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Node):
+        self._set(inner=inner)
 
 
 _PUNCT = set("+-*/^{}[](),")

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def _report(check_id, residual, tolerance, **kwargs):
     """A report with its tolerance overridden, as run_suite applies a config's."""
-    return replace(make_report(check_id, residual, **kwargs), tolerance=tolerance)
+    r = make_report(check_id, residual, **kwargs)
+    return CheckReport(check_id=r.check_id, paper_ref=r.paper_ref, residual=r.residual,
+                       tolerance=tolerance, valid=r.valid, context=r.context)
 
 
 def test_make_report_pass_rule():

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from qpb import suites
 from qpb.errors import ConfigurationError, ResourceBoundError
 from qpb.kk import phase_equivalence
-from qpb.report import CHECKS, emit_report, make_report
+from qpb.report import CHECKS, CheckReport, emit_report, make_report
 from qpb.suites import SUITE_NAMES, SuiteConfig, _fold, run_suite
 
 EXPECTED_PER_SUITE = {
@@ -161,7 +160,8 @@ def test_every_check_carries_exactly_its_own_override():
 
 
 def _nan_report(rep):
-    return replace(rep, residual=math.nan)
+    return CheckReport(check_id=rep.check_id, paper_ref=rep.paper_ref, residual=math.nan,
+                       tolerance=rep.tolerance, valid=rep.valid, context=rep.context)
 
 
 def _nan_product_row(data):
