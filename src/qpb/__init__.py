@@ -12,10 +12,9 @@ suites module groups them into named, seeded suites behind the `qpb` CLI.
 from .errors import (
     ConfigurationError,
     ExprSyntaxError,
-    ResourceBoundError,
     ToolkitError,
 )
-from .grids import UniformGrid, WaveFunction, make_uniform_grid, normalize
+from .grids import UniformGrid, WaveFunction, make_uniform_grid
 from .kk import (
     AnalyticSignal,
     hilbert_spectral,
@@ -58,7 +57,6 @@ __all__ = [
     "GridOperator",
     "LadderSystem",
     "Moments",
-    "ResourceBoundError",
     "SUITE_NAMES",
     "SuiteConfig",
     "ToolkitError",
@@ -78,7 +76,6 @@ __all__ = [
     "make_uniform_grid",
     "moments",
     "momentum_operator",
-    "normalize",
     "oscillator_eigenstate",
     "periodized_pole",
     "phase_equivalence",

@@ -42,17 +42,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qpb",
         description="Numerical checks for conjugate-representation operator identities.")
     sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a check suite and report residuals")
+    # an option left out is left out of the namespace too, so SuiteConfig
+    # alone holds the defaults of the options it takes
+    verify = sub.add_parser("verify", help="run a check suite and report residuals",
+                            argument_default=argparse.SUPPRESS)
     verify.add_argument("suite", choices=SUITE_NAMES)
-    verify.add_argument("--n-points", type=int, default=None,
+    verify.add_argument("--n-points", type=int,
                         help="1D grid size for the selected suite (default per suite)")
-    verify.add_argument("--half-extent", type=float, default=None,
+    verify.add_argument("--half-extent", type=float,
                         help="1D half box size for the selected suite")
-    verify.add_argument("--hbar", type=float, default=1.0)
-    verify.add_argument("--n-trunc", type=int, default=64,
+    verify.add_argument("--hbar", type=float)
+    verify.add_argument("--n-trunc", type=int,
                         help="matrix truncation for ladder and symbolic oracles")
-    verify.add_argument("--omega", type=float, default=1.0)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--omega", type=float)
+    verify.add_argument("--seed", type=int)
     verify.add_argument("--tolerance", action="append", default=[], metavar="CHECK_ID=VALUE",
                         help="override one check tolerance; repeatable")
     verify.add_argument("--format", choices=("table", "json"), default="table")
@@ -68,16 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = SuiteConfig(
-            suite=args.suite,
-            n_points=args.n_points,
-            half_extent=args.half_extent,
-            hbar=args.hbar,
-            n_trunc=args.n_trunc,
-            omega=args.omega,
-            seed=args.seed,
-            tolerances=_parse_tolerance_overrides(args.tolerance),
-        )
+        given = {name: value for name, value in vars(args).items() if name in SuiteConfig.__slots__}
+        config = SuiteConfig(**given, tolerances=_parse_tolerance_overrides(args.tolerance))
         # opened before any suite runs, so an unwritable path fails at once
         with (contextlib.nullcontext(sys.stdout) if args.out is None
               else open(args.out, "w", encoding="utf-8")) as fh:

@@ -4,9 +4,9 @@
 line with exit status 2; nothing tells the subclasses apart. An input the
 checks cannot run on (a bad grid, an unnormalized or boundary-contaminated
 state, a wrong representation, an unknown operator letter, a value that
-leaves the float range) raises `ConfigurationError`; a size, memory or
-combinatorial cap raises `ResourceBoundError`. `ExprSyntaxError` carries
-the parse position and the expected token set for callers of the grammar.
+leaves the float range, a size above a memory or combinatorial cap) raises
+`ConfigurationError`. `ExprSyntaxError` carries the parse position and the
+expected token set for callers of the grammar.
 """
 
 
@@ -16,10 +16,6 @@ class ToolkitError(Exception):
 
 class ConfigurationError(ToolkitError):
     """An input or configuration that the requested operation cannot run on."""
-
-
-class ResourceBoundError(ToolkitError):
-    """An operation or configuration would exceed a configured size, memory or combinatorial bound."""
 
 
 class ExprSyntaxError(ToolkitError):

@@ -101,7 +101,9 @@ def make_uniform_grid(dim: int, n_points: int, half_extent: float, hbar: float =
 
 
 class WaveFunction(Record):
-    """Complex samples on a UniformGrid, tagged with their representation."""
+    """Complex samples on a UniformGrid, tagged with their representation.
+    The constructor keeps a copy of `values`; qpb's own kernels hand the
+    arrays they have just computed to `_fresh` instead."""
 
     __slots__ = ("grid", "representation", "values", "_norm")
 
@@ -127,10 +129,6 @@ class WaveFunction(Record):
         v.flags.writeable = False
         self._set(values=v)
 
-    def with_values(self, values: np.ndarray) -> "WaveFunction":
-        """A copy of `values` on this state's grid and representation."""
-        return WaveFunction(grid=self.grid, representation=self.representation, values=values)
-
     @staticmethod
     def _fresh(grid: UniformGrid, representation: str, values: np.ndarray) -> "WaveFunction":
         """The constructor without the copy, for a complex array that the
@@ -140,10 +138,6 @@ class WaveFunction(Record):
         psi._set(grid=grid, representation=representation)
         psi._keep(values)
         return psi
-
-    def _with_fresh(self, values: np.ndarray) -> "WaveFunction":
-        """with_values without the copy (see `_fresh`)."""
-        return WaveFunction._fresh(self.grid, self.representation, values)
 
     def norm(self) -> float:
         """The norm, computed on the first call and kept: the values are read-only."""
@@ -230,11 +224,6 @@ def normalize_block(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
         raise ConfigurationError("cannot normalize a state with zero or non-finite norm")
     values /= np.reshape(n, np.shape(n) + (1,) * grid.dim)
     return values
-
-
-def normalize(psi: WaveFunction) -> WaveFunction:
-    """Scale psi to unit norm. Raises ConfigurationError on a zero state."""
-    return psi.with_values(normalize_block(np.array(psi.values), psi.grid))
 
 
 def boundary_mass(psi: WaveFunction) -> float:

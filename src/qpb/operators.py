@@ -159,7 +159,8 @@ def _apply_block(op: GridOperator, values: np.ndarray, grid: UniformGrid,
 
 def apply(op: GridOperator, psi: WaveFunction) -> WaveFunction:
     """Apply op to psi; linear, pure, and representation-aware."""
-    return psi._with_fresh(apply_block(op, psi.values, psi.grid, psi.representation))
+    return WaveFunction._fresh(psi.grid, psi.representation,
+                               apply_block(op, psi.values, psi.grid, psi.representation))
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> WaveFunction:
@@ -171,7 +172,7 @@ def commutator_apply(a: GridOperator, b: GridOperator, psi: WaveFunction) -> Wav
     # two arrays the size of psi are alive at once
     ab = _apply_block(a, _apply_block(b, v, g, rep), g, rep, overwrite=True)
     ab -= _apply_block(b, _apply_block(a, v, g, rep), g, rep, overwrite=True)
-    return psi._with_fresh(ab)
+    return WaveFunction._fresh(g, rep, ab)
 
 
 def _identity_residual(psi: WaveFunction, bm: float,

@@ -3,10 +3,11 @@
 A record lists its fields in `__slots__` and writes its own `__init__`,
 which validates the arguments and stores them once through `_set`. After
 that, assigning or deleting a field raises AttributeError. Records compare
-equal when they are of one class and their fields are equal, and hash their
-fields, so a record whose fields hash can key a cache. A slot whose name
-starts with an underscore holds a cache, not a field. A record class derives
-from Record directly or through a base without slots of its own.
+equal when they are of one class and their fields are equal, array fields
+by `np.array_equal`, and hash their fields that are not arrays, so a record
+whose other fields hash can key a cache. A slot whose name starts with an
+underscore holds a cache, not a field. A record class derives from Record
+directly or through a base without slots of its own.
 
 The standard library's frozen generated classes would cost more: they
 exec-compile their methods afresh in every process, which took about 70% of
@@ -15,6 +16,8 @@ CPU").
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class Record:
@@ -41,10 +44,11 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(self._fields(), other._fields()))
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(tuple(f for f in self._fields() if not isinstance(f, np.ndarray)))
 
     def __reduce__(self):
         # copy and pickle rebuild a record through __init__, whose parameters

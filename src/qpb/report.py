@@ -112,13 +112,10 @@ def _plain(value):
     return value
 
 
-def worst(values, axis=None):
+def worst(values) -> float:
     """Largest value, NaN if any value is NaN (Python's max drops a NaN that
-    is not first); bound checks write max(0, floor - min(xs)) through it.
-    With `axis`, the row-wise largest values of stacked arrays."""
-    if axis is None:
-        return float(np.max(values))
-    return np.max(values, axis=axis)
+    is not first); bound checks write max(0, floor - min(xs)) through it."""
+    return float(np.max(values))
 
 
 def make_report(check_id: str, residual: float, context: dict | None = None,

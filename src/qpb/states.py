@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import UniformGrid, WaveFunction, normalize, normalize_block
+from .grids import UniformGrid, WaveFunction, normalize_block
 
 
 def gaussian(grid: UniformGrid, sigma: float = 1.0, center: float = 0.0,
@@ -21,7 +21,7 @@ def gaussian(grid: UniformGrid, sigma: float = 1.0, center: float = 0.0,
     x = grid.axis_points()
     v = (math.pi * sigma**2) ** -0.25 * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
     v = v * np.exp(1j * momentum * x / grid.hbar)
-    return normalize(WaveFunction(grid=grid, representation=representation, values=v))
+    return WaveFunction._fresh(grid, representation, normalize_block(v, grid))
 
 
 def gaussian_3d(grid: UniformGrid, sigmas=(1.0, 1.0, 1.0)) -> WaveFunction:
@@ -69,7 +69,7 @@ def oscillator_eigenstate(grid: UniformGrid, n: int) -> WaveFunction:
     x = grid.axis_points()
     v = _hermite(x, n) * np.exp(-(x**2) / 2.0)
     v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    return normalize(WaveFunction(grid=grid, representation="position", values=v.astype(np.complex128)))
+    return WaveFunction._fresh(grid, "position", normalize_block(v.astype(np.complex128), grid))
 
 
 def conjugate_gaussian_pair(grid_p: UniformGrid, sigma: float = 1.0, center: float = 0.0,
@@ -100,8 +100,8 @@ def conjugate_gaussian_pair(grid_p: UniformGrid, sigma: float = 1.0, center: flo
     Psi = (math.pi * sigma**2) ** -0.25 * np.exp(exponent_r) \
         * np.exp(1j * momentum * (r - center) / hbar)
     return (
-        WaveFunction(grid=grid_p, representation="momentum", values=psi),
-        WaveFunction(grid=grid_r, representation="position", values=Psi),
+        WaveFunction._fresh(grid_p, "momentum", psi),
+        WaveFunction._fresh(grid_r, "position", Psi),
     )
 
 

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceBoundError
+from .errors import ConfigurationError
 from .grids import BLOCK_SAMPLES, UniformGrid, WaveFunction, make_uniform_grid
 from .kk import (
     AnalyticSignal,
@@ -120,10 +120,10 @@ class SuiteConfig(Record):
             raise ConfigurationError(f"seed must be nonnegative, got {seed}")
         budget = f"the {MEMORY_BUDGET_BYTES // 2**20} MiB memory budget"
         if n_trunc > MAX_N_TRUNC:
-            raise ResourceBoundError(f"n_trunc {n_trunc} exceeds {MAX_N_TRUNC}, "
+            raise ConfigurationError(f"n_trunc {n_trunc} exceeds {MAX_N_TRUNC}, "
                                      f"the largest dense matrix within {budget}")
         if n_points is not None and n_points > MAX_N_POINTS:
-            raise ResourceBoundError(f"n_points {n_points} exceeds {MAX_N_POINTS}, "
+            raise ConfigurationError(f"n_points {n_points} exceeds {MAX_N_POINTS}, "
                                      f"the largest grid within {budget}")
         tolerances = {} if tolerances is None else tolerances
         unknown = set(tolerances) - set(CHECKS)

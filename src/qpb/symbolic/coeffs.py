@@ -37,10 +37,6 @@ class GaussianRational:
             out._a, out._b, out._d = a // g, b // g, d // g
         return out
 
-    @classmethod
-    def of(cls, re=0, im=0) -> "GaussianRational":
-        return cls(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -114,7 +110,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational.of(1)
 
 
 class HbarPoly:
@@ -146,7 +141,7 @@ class HbarPoly:
         if isinstance(value, GaussianRational):
             return cls.term(value)
         if isinstance(value, (int, Fraction)):
-            return cls.term(GaussianRational.of(value))
+            return cls.term(GaussianRational(value))
         if isinstance(value, complex):
             re, im = Fraction(value.real), Fraction(value.imag)
             return cls.term(GaussianRational(re, im))
@@ -154,9 +149,6 @@ class HbarPoly:
 
     def items(self):
         return self._coeffs.items()
-
-    def coefficient(self, degree: int) -> GaussianRational:
-        return self._coeffs.get(degree, GR_ZERO)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -238,5 +230,3 @@ class HbarPoly:
 
     __repr__ = __str__
 
-
-HP_ONE = HbarPoly.term(GR_ONE)

@@ -357,25 +357,25 @@ def print_expression(node: Node) -> str:
 def to_poly(node: Node) -> OperatorPoly:
     """Evaluate an expression tree into an operator polynomial."""
     if isinstance(node, Sym):
-        return OperatorPoly.letter(node.name)
+        return OperatorPoly.monomial((node.name,))
     if isinstance(node, Scalar):
         gr = GaussianRational(Fraction(0), node.frac) if node.imag \
             else GaussianRational(node.frac, Fraction(0))
-        return OperatorPoly.scalar(HbarPoly.term(gr, node.hbar_pow))
+        return OperatorPoly.monomial((), HbarPoly.term(gr, node.hbar_pow))
     if isinstance(node, Sum):
-        total = OperatorPoly.zero()
+        total = OperatorPoly()
         for sign, term in node.terms:
             p = to_poly(term)
             total = total + (p if sign == 1 else -p)
         return total
     if isinstance(node, Prod):
-        total = OperatorPoly.one()
+        total = OperatorPoly.monomial(())
         for f in node.factors:
             total = total * to_poly(f)
         return total
     if isinstance(node, Pow):
         base = to_poly(node.base)
-        total = OperatorPoly.one()
+        total = OperatorPoly.monomial(())
         for _ in range(node.exp):
             total = total * base
         return total
@@ -383,7 +383,7 @@ def to_poly(node: Node) -> OperatorPoly:
         return commutator_poly(to_poly(node.lhs), to_poly(node.rhs))
     if isinstance(node, WeylS):
         inner = to_poly(node.inner)
-        total = OperatorPoly.zero()
+        total = OperatorPoly()
         for word, coeff in inner.terms():
             total = total + weyl_symmetrize(word).scale(coeff)
         return total

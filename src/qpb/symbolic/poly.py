@@ -16,8 +16,8 @@ from math import gcd
 
 import numpy as np
 
-from ..errors import ConfigurationError, ResourceBoundError
-from .coeffs import GaussianRational, HbarPoly, HP_ONE
+from ..errors import ConfigurationError
+from .coeffs import GaussianRational, HbarPoly
 
 _ORDER = {"X": 0, "P": 1}
 
@@ -103,22 +103,6 @@ class OperatorPoly:
         out._terms = terms
         out._normal = None
         return out
-
-    @classmethod
-    def zero(cls) -> "OperatorPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "OperatorPoly":
-        return cls({(): HP_ONE})
-
-    @classmethod
-    def scalar(cls, value) -> "OperatorPoly":
-        return cls({(): HbarPoly.of(value)})
-
-    @classmethod
-    def letter(cls, name: str) -> "OperatorPoly":
-        return cls({(name,): HP_ONE})
 
     @classmethod
     def monomial(cls, word: tuple[str, ...], coeff=1) -> "OperatorPoly":
@@ -244,10 +228,10 @@ def weyl_symmetrize(word: tuple[str, ...]) -> OperatorPoly:
     word = tuple(word)
     _check_letters(word)
     if len(word) > SYMMETRIZE_DEGREE_BOUND:
-        raise ResourceBoundError(f"symmetrizing a degree {len(word)} word exceeds "
+        raise ConfigurationError(f"symmetrizing a degree {len(word)} word exceeds "
                                  f"the bound {SYMMETRIZE_DEGREE_BOUND}")
     if not word:
-        return OperatorPoly.one()
+        return OperatorPoly.monomial(())
     arrangements = list(dict.fromkeys(permutations(word)))
     weight = HbarPoly.term(GaussianRational(Fraction(1, len(arrangements))))
     return OperatorPoly({arr: weight for arr in arrangements})
@@ -258,9 +242,10 @@ def taylor_operator(table: dict[tuple[int, int], object]) -> OperatorPoly:
     table: sum over (n, m) of table[(n, m)] * S{X^n P^m}.
 
     Table values are the coefficients of r^n p^m in the function itself
-    (any factorial normalization is already folded in by the caller).
+    (any factorial normalization is already folded in by the caller). An
+    entry above SYMMETRIZE_DEGREE_BOUND fails in weyl_symmetrize.
     """
-    total = OperatorPoly.zero()
+    total = OperatorPoly()
     for key, value in table.items():
         try:
             n, m = key
@@ -268,9 +253,6 @@ def taylor_operator(table: dict[tuple[int, int], object]) -> OperatorPoly:
             raise ConfigurationError(f"table key {key!r} is not an (n, m) pair") from None
         if not (isinstance(n, int) and isinstance(m, int)) or n < 0 or m < 0:
             raise ConfigurationError(f"table key {key!r} must hold nonnegative ints")
-        if n + m > SYMMETRIZE_DEGREE_BOUND:
-            raise ConfigurationError(f"table entry {key!r} has degree {n + m}, "
-                                     f"above the cap {SYMMETRIZE_DEGREE_BOUND}")
         word = ("X",) * n + ("P",) * m
         total = total + weyl_symmetrize(word).scale(HbarPoly.of(value))
     return total

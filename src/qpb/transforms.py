@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import UniformGrid, WaveFunction, boundary_band_fraction, norm_block, require_normalized
-from .report import worst
 
 
 def reciprocal_grid(grid: UniformGrid) -> UniformGrid:
@@ -74,7 +73,7 @@ def to_position(psi_p: WaveFunction) -> WaveFunction:
     if psi_p.representation != "momentum":
         raise ConfigurationError(f"to_position needs a momentum-representation input, got {psi_p.representation!r}")
     values = transform_block(psi_p.values, psi_p.grid, "momentum")
-    return WaveFunction(grid=reciprocal_grid(psi_p.grid), representation="position", values=values)
+    return WaveFunction._fresh(reciprocal_grid(psi_p.grid), "position", values)
 
 
 def to_momentum(chi_r: WaveFunction) -> WaveFunction:
@@ -82,7 +81,7 @@ def to_momentum(chi_r: WaveFunction) -> WaveFunction:
     if chi_r.representation != "position":
         raise ConfigurationError(f"to_momentum needs a position-representation input, got {chi_r.representation!r}")
     values = transform_block(chi_r.values, chi_r.grid, "position")
-    return WaveFunction(grid=reciprocal_grid(chi_r.grid), representation="momentum", values=values)
+    return WaveFunction._fresh(reciprocal_grid(chi_r.grid), "momentum", values)
 
 
 def parseval_block(values: np.ndarray, transformed: np.ndarray, grid: UniformGrid) -> dict:
@@ -106,5 +105,5 @@ def parseval_block(values: np.ndarray, transformed: np.ndarray, grid: UniformGri
         "norm_defect": defect,
         "band_mass_input": band_in,
         "band_mass_transform": band_out,
-        "residual": worst([defect, band_in, band_out], axis=0),
+        "residual": np.max([defect, band_in, band_out], axis=0),
     }

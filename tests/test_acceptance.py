@@ -130,7 +130,7 @@ def test_criterion_06_phase_equivalence():
 
 def test_criterion_07_weyl_exact_algebra():
     t0 = time.perf_counter()
-    x, p = OperatorPoly.letter("X"), OperatorPoly.letter("P")
+    x, p = OperatorPoly.monomial(("X",)), OperatorPoly.monomial(("P",))
     c = commutator_poly(x, p)
     exact_comm = c == poly_of("i*hbar")
     central = True

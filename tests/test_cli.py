@@ -10,7 +10,7 @@ import pytest
 
 from qpb import cli
 from qpb.cli import main
-from qpb.suites import MAX_N_TRUNC
+from qpb.suites import MAX_N_TRUNC, SuiteConfig
 
 PKG = [sys.executable, "-m", "qpb"]
 
@@ -150,6 +150,12 @@ def test_out_is_untouched_by_a_config_error_and_empty_after_a_suite_error(tmp_pa
 def test_unknown_suite_is_usage_error():
     proc = run("verify", "galaxy")
     assert proc.returncode == 2
+
+
+def test_the_parser_leaves_every_default_to_suite_config():
+    args = vars(cli.build_parser().parse_args(["verify", "all"]))
+    fields = [name for name in SuiteConfig.__slots__ if name in args]
+    assert fields == ["suite"]
 
 
 def test_grid_flags_reach_the_suite():

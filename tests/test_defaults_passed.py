@@ -20,9 +20,6 @@ SRC = Path(qpb.__file__).resolve().parent
 # "module.qualname(parameter)" -> why no call under src/qpb passes it
 ALLOWED = {
     "cli.main(argv)": "tests drive the CLI in process; the process entry reads sys.argv",
-    "symbolic.coeffs.GaussianRational.of(im)": "a value, not an option",
-    "symbolic.poly.OperatorPoly.monomial(coeff)": "a value, not an option; "
-                                                  "bench/sweep.py builds unit monomials",
 }
 
 

@@ -35,7 +35,7 @@ def _error_classes() -> dict[str, list[str]]:
 def test_every_error_class_is_raised_or_is_the_base_of_one_that_is():
     classes = _error_classes()
     raised = set(_raised_names()) & set(classes)
-    assert {"ConfigurationError", "ResourceBoundError", "ExprSyntaxError"} <= raised
+    assert {"ConfigurationError", "ExprSyntaxError"} <= raised
     needed, todo = set(), list(raised)
     while todo:
         name = todo.pop()

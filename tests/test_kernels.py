@@ -48,7 +48,7 @@ from qpb.operators import (
     momentum_operator,
     position_operator,
 )
-from qpb.states import _band_basis, gaussian, gaussian_3d, random_band_limited
+from qpb.states import _band_basis, gaussian, gaussian_3d, oscillator_eigenstate, random_band_limited
 from qpb.symbolic.matrices import _letter_bands
 from qpb.transforms import reciprocal_grid, transform_block
 
@@ -450,7 +450,7 @@ def test_uncopied_values_get_the_constructor_checks():
                        values=np.zeros(64))
     for bad in (np.zeros(63, dtype=np.complex128), np.zeros(64)):
         with pytest.raises(ConfigurationError):
-            psi._with_fresh(bad)
+            WaveFunction._fresh(psi.grid, psi.representation, bad)
 
 
 def _traced_peak(call):
@@ -478,6 +478,18 @@ def test_gaussian_3d_keeps_its_array_without_a_copy():
     grid = make_uniform_grid(3, 64, 8.0)
     peak = _traced_peak(lambda: gaussian_3d(grid, sigmas=(1.0, 1.25, 0.8)))
     assert peak < 1.25 * 16 * grid.size
+
+
+def test_1d_states_normalize_their_own_array_without_a_copy():
+    """Besides the complex samples they keep, gaussian holds the real
+    envelope and the plane-wave factor while it multiplies them (3.0 states
+    at 65536 points), and oscillator_eigenstate its real samples and their
+    complex cast (2.5 states). Normalizing through a copied WaveFunction
+    read 4.5 and 4.0."""
+    grid = make_uniform_grid(1, 65536, 64.0)
+    state = 16 * grid.size
+    assert _traced_peak(lambda: gaussian(grid)) <= 3.1 * state
+    assert _traced_peak(lambda: oscillator_eigenstate(grid, 3)) <= 2.6 * state
 
 
 def test_commutator_apply_keeps_two_states_besides_psi():

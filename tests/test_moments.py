@@ -157,7 +157,8 @@ def test_vector_check_validates_inputs():
 def test_moments_require_normalized_state():
     grid = make_uniform_grid(1, 64, 8.0)
     x_op, _ = _ops(grid)
-    psi = gaussian(grid, sigma=1.0).with_values(2.0 * gaussian(grid, sigma=1.0).values)
+    psi = WaveFunction(grid=grid, representation="position",
+                       values=2.0 * gaussian(grid, sigma=1.0).values)
     with pytest.raises(ConfigurationError, match="moments are defined for normalized states"):
         moments(psi, x_op)
 
@@ -168,7 +169,7 @@ def test_moments_nan_state_is_precondition_error():
     values = np.array(gaussian(grid, sigma=1.0).values)
     values[10] = np.nan
     with pytest.raises(ConfigurationError, match="moments are defined for normalized states"):
-        moments(gaussian(grid, sigma=1.0).with_values(values), x_op)
+        moments(WaveFunction(grid=grid, representation="position", values=values), x_op)
 
 
 def test_hermiticity_slack_is_relative_to_the_operator_scale():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpb.errors import ConfigurationError
-from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid, normalize
+from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid, normalize_block
 from qpb.operators import (
     apply,
     commutator_apply,
@@ -47,10 +47,10 @@ def test_momentum_in_momentum_representation_multiplies():
 def test_momentum_operators_are_hermitian():
     grid = _grid(128, 8.0)
     rng = np.random.default_rng(5)
-    a = normalize(WaveFunction(grid=grid, representation="position",
-                               values=rng.normal(size=128) + 1j * rng.normal(size=128)))
-    b = normalize(WaveFunction(grid=grid, representation="position",
-                               values=rng.normal(size=128) + 1j * rng.normal(size=128)))
+    a = WaveFunction(grid=grid, representation="position", values=normalize_block(
+        rng.normal(size=128) + 1j * rng.normal(size=128), grid))
+    b = WaveFunction(grid=grid, representation="position", values=normalize_block(
+        rng.normal(size=128) + 1j * rng.normal(size=128), grid))
     def inner(u, v):
         return complex(inner_product_block(u.values, v.values, grid))
 

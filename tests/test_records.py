@@ -125,6 +125,21 @@ def test_equal_grids_compare_and_hash_equal():
     assert a != (3, 32, 8.0, 0.5)
 
 
+def test_array_records_compare_their_arrays_by_value():
+    """Distinct but equal arrays make equal records with equal hashes; one
+    changed sample makes them unequal."""
+    a = WaveFunction(GRID, "position", np.zeros(16))
+    b = WaveFunction(GRID, "position", np.zeros(16))
+    assert a.values is not b.values and a == b and hash(a) == hash(b)
+    changed = np.zeros(16)
+    changed[5] = 1.0
+    assert a != WaveFunction(GRID, "position", changed)
+    assert a != WaveFunction(GRID, "momentum", np.zeros(16))
+    assert AnalyticSignal(GRID, SAMPLES) == AnalyticSignal(GRID, SAMPLES.copy())
+    twin = LadderSystem(**RECORDS[LadderSystem][0])
+    assert twin == _LADDER and hash(twin) == hash(_LADDER)
+
+
 def test_expression_nodes_equal_only_same_type_nodes_with_equal_fields():
     nodes = [X, P, Scalar(), Scalar(frac=Fraction(1, 2), imag=True, hbar_pow=1),
              Sum(terms=((1, X), (1, P))), Sum(terms=((1, X), (-1, P))),

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial.hermite import hermval
 
 from qpb.errors import ConfigurationError
-from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid, normalize
+from qpb.grids import WaveFunction, inner_product_block, make_uniform_grid, normalize_block
 from qpb.states import (
     MAX_OSCILLATOR_LEVEL,
     _band_basis,
@@ -55,7 +55,8 @@ def _hermval_eigenstate(grid, n):
     coeffs[n] = 1.0
     v = hermval(x, coeffs) * np.exp(-(x**2) / 2.0)
     v = v / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    return normalize(WaveFunction(grid=grid, representation="position", values=v.astype(np.complex128)))
+    return WaveFunction(grid=grid, representation="position",
+                        values=normalize_block(v.astype(np.complex128), grid))
 
 
 def _state_bits(build, grid, n):
@@ -157,7 +158,7 @@ def _inline_band_limited(grid, rng):
     for j in range(13):
         modes += c[j] * np.exp(1j * math.pi * (j - 6) * x / L)
     v = np.exp(-(x**2) / (2.0 * (L / 8.0) ** 2)) * modes
-    return normalize(WaveFunction(grid=grid, representation="position", values=v))
+    return WaveFunction(grid=grid, representation="position", values=normalize_block(v, grid))
 
 
 def test_random_band_limited_bit_equal_to_inline_construction():

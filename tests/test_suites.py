@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpb import suites
-from qpb.errors import ConfigurationError, ResourceBoundError
+from qpb.errors import ConfigurationError
 from qpb.kk import phase_equivalence
 from qpb.report import CHECKS, CheckReport, emit_report, make_report
 from qpb.suites import SUITE_NAMES, SuiteConfig, _fold, run_suite
@@ -245,9 +245,9 @@ def test_resource_caps_follow_one_memory_budget():
     assert 16 * (suites.MAX_N_TRUNC + 1) ** 2 > suites.MEMORY_BUDGET_BYTES
     assert suites.MAX_N_POINTS == 2**16
     SuiteConfig(suite="ladder", n_trunc=suites.MAX_N_TRUNC, n_points=suites.MAX_N_POINTS)
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ConfigurationError):
         SuiteConfig(suite="ladder", n_trunc=suites.MAX_N_TRUNC + 1)
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ConfigurationError):
         SuiteConfig(suite="kk", n_points=2 * suites.MAX_N_POINTS)
 
 

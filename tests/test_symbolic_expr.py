@@ -120,7 +120,7 @@ def test_poly_of_matches_algebra():
     assert poly_of("S{X P}") == poly_of("1/2 X P + 1/2 P X")
     assert poly_of("S{X^2 P}") == poly_of("X^2 P - i*hbar X")
     assert poly_of("S{X P} - 1/2 X P - 1/2 P X").is_zero()
-    x, p = OperatorPoly.letter("X"), OperatorPoly.letter("P")
+    x, p = OperatorPoly.monomial(("X",)), OperatorPoly.monomial(("P",))
     assert poly_of("[X^2, P]") == commutator_poly(x * x, p)
     assert poly_of("(X + P)^2") == (x + p) * (x + p)
 

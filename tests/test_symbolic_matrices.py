@@ -28,7 +28,7 @@ def realized(p, n_trunc, hbar_value):
 
 
 def realized_letters(n_trunc, hbar_value):
-    return {name: realized(OperatorPoly.letter(name), n_trunc, hbar_value)
+    return {name: realized(OperatorPoly.monomial((name,)), n_trunc, hbar_value)
             for name in ("X", "P")}
 
 
@@ -114,7 +114,7 @@ def test_matrix_realize_agrees_with_normal_form_on_protected_block():
 
 
 def test_symbolic_commutator_matches_matrix_commutator():
-    x, p = OperatorPoly.letter("X"), OperatorPoly.letter("P")
+    x, p = OperatorPoly.monomial(("X",)), OperatorPoly.monomial(("P",))
     a = x * x * p
     b = p * x
     m = dense_letters(N, 1.0)

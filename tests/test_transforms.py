@@ -140,7 +140,7 @@ def test_parseval_nan_sample_is_precondition_error():
     values = np.array(psi.values)
     values[3] = np.nan
     with pytest.raises(ConfigurationError, match="parseval_block expects normalized states"):
-        _parseval(psi.with_values(values))
+        _parseval(WaveFunction(grid=psi.grid, representation=psi.representation, values=values))
 
 
 def test_parseval_nan_band_mass_fails(monkeypatch):
